@@ -28,7 +28,7 @@ from .bounds import (
     trace_rho_squared,
 )
 from .core import EvalResult, ProtocolParams
-from .exactmath import RealApprox, binomial, falling_factorial, ln_binomial, to_real
+from .exactmath import binomial, falling_factorial
 from .performance import (
     fidelity_exact,
     fidelity_qubit,
@@ -43,6 +43,7 @@ from .protocols import (
     SchemeId,
     critical_exponent,
     critical_limit,
+    finite_value,
     ompbt_psucc,
     opbt_fidelity,
     packaged_fidelity,
@@ -76,7 +77,6 @@ __all__ = [
     "GaussBoundTerms",
     "LimitClass",
     "ProtocolParams",
-    "RealApprox",
     "ScalingSpec",
     "SchemeId",
     "add_boxes",
@@ -95,8 +95,8 @@ __all__ = [
     "fidelity_bound_ratio",
     "fidelity_exact",
     "fidelity_qubit",
+    "finite_value",
     "gaussian_limit",
-    "ln_binomial",
     "normal_pdf",
     "normal_tail",
     "ompbt_psucc",
@@ -121,7 +121,6 @@ __all__ = [
     "ssyt_count",
     "symmetric_poly_bound",
     "syt_count",
-    "to_real",
     "trace_rho_bar_squared",
     "trace_rho_squared",
 ]

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ProtocolParams
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -65,7 +67,8 @@ def sandwich_k(N: int, a: float) -> int:
     with the parity of N (so the spin sum starts at 0).
 
     Ties resolve upward: the success probability decreases in k, so a larger
-    k keeps the true value under the upper bound computed at a*sqrt(N).
+    k keeps the true value under the upper bound computed at a*sqrt(N).  A
+    nearest k below a*sqrt(N) can put the value above that bound.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -123,10 +126,7 @@ def psucc_largeN(N: int, k: int) -> float:
     Matches the exact rational form to ~1e-12 relative and stays finite for N
     up to millions of ports.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 1 <= k <= N:
-        raise ValueError(f"k must satisfy 1 <= k <= N={N}, got {k}")
+    ProtocolParams(N, k)
     two_s = np.arange((N - k) % 2, N - k + 1, 2, dtype=np.int64)
     m = (N - k - two_s) // 2
     m_max = int(m.max())

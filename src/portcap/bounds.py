@@ -23,18 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .core import ProtocolParams
 from .exactmath import binomial, falling_factorial
-
-PortTuple = tuple[int, ...]
-
-
-def _check_bound_scope(N: int, k: int, d: int) -> None:
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > N // 2:
-        raise ValueError(f"bound formulas require k <= floor(N/2); got N={N}, k={k}")
 
 
 def trace_rho_squared(n: int, k: int, d: int) -> int:
@@ -44,7 +34,7 @@ def trace_rho_squared(n: int, k: int, d: int) -> int:
         d**(N-k) * N!/(N-k)! * (d^2+N-1)! / (d^2+N-k-1)!,   N = n - k.
     """
     N = n - k
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     return (
         d ** (N - k)
         * falling_factorial(N, k)
@@ -57,7 +47,7 @@ def trace_rho_bar_squared(N: int, k: int, d: int) -> Fraction:
 
         d**-(N+k) * C(N,k)**-1 * C(d^2+N-1, k)
     """
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     return Fraction(binomial(d * d + N - 1, k), d ** (N + k) * binomial(N, k))
 
 
@@ -67,26 +57,26 @@ def pdist_lower(N: int, k: int, d: int) -> Fraction:
     average signal rank r = d^(N-k).  Composed with the fidelity relation
     F = k!C(N,k)/d^(2k) * p_dist it reproduces ``fidelity_bound_ratio``.
     """
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     signals = falling_factorial(N, k)
     return 1 / (d ** (N - k) * signals * trace_rho_bar_squared(N, k, d))
 
 
 def fidelity_bound_ratio(N: int, k: int, d: int) -> Fraction:
     """Strongest closed-form fidelity lower bound: C(N,k) / C(d^2+N-1, k)."""
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     return Fraction(binomial(N, k), binomial(d * d + N - 1, k))
 
 
 def fidelity_bound_product(N: int, k: int, d: int) -> Fraction:
     """Weaker factored bound (1 - (d^2-1)/(d^2+N-k))**k."""
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     return (1 - Fraction(d * d - 1, d * d + N - k)) ** k
 
 
 def fidelity_bound_bernoulli(N: int, k: int, d: int) -> Fraction:
     """Linearized bound 1 - k(d^2-1)/(d^2+N-k), clamped below at 0."""
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     return max(Fraction(0), 1 - Fraction(k * (d * d - 1), d * d + N - k))
 
 
@@ -98,7 +88,7 @@ def symmetric_poly_bound(N: int, k: int, d: int, order: int) -> Fraction:
 
     At order = k this is exactly the full product, i.e. the ratio bound.
     """
-    _check_bound_scope(N, k, d)
+    ProtocolParams(N, k, d).require_bound_scope()
     if not 0 <= order <= k:
         raise ValueError(f"order must satisfy 0 <= order <= k={k}, got {order}")
     xs = [Fraction(1, d * d + N - s - 1) for s in range(k)]

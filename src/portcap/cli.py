@@ -7,29 +7,24 @@ invocations are byte-identical; figures are reproduced by plotting the CSV.
 ``--format json`` emits one JSON object per output record instead.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
-``PORTCAP_THREADS`` caps the worker threads used for grid rows (default 1);
-row order in the output never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import bounds, performance, protocols, simulate
 from .asymptotics import gaussian_limit, psucc_largeN, psucc_sandwich, sandwich_k
 from .core import ProtocolParams
-from .protocols import Figure, ScalingSpec, SchemeId
+from .protocols import Figure, ScalingSpec, SchemeId, finite_value
 
 
 @dataclass(frozen=True)
@@ -65,22 +60,6 @@ def _emit_records(records: Iterable[OutputRecord], fmt: str) -> None:
             f"{rec.scheme},{rec.N},{rec.k},{rec.d},{rec.quantity},"
             f"{rec.value},{exact},{rec.method}"
         )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PORTCAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_range(text: str) -> list[int]:
@@ -145,10 +124,7 @@ def _cmd_psucc(args: argparse.Namespace) -> int:
     scheme = args.scheme
     exact: str | None = None
     if scheme == "mpbt":
-        use_log = args.arith == "log" or (
-            args.arith == "auto" and N > performance.EXACT_ARITH_MAX_N
-        )
-        if use_log:
+        if performance.resolve_arith(N, args.arith) == "log":
             if d != 2:
                 raise ValueError("log-space success probability requires d=2")
             value = psucc_largeN(N, k)
@@ -185,20 +161,11 @@ def _cmd_psucc(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- compare --
 
 
-def _pack_opbt_value(N: int, k: int, strict: bool) -> float | None:
-    if strict:
-        if N % k:
-            return None
-        return protocols.packaged_fidelity(N, k, base="opbt", strict=True)
-    return math.cos(math.pi / (N / k + 2.0)) ** (2 * k)
-
-
-def _compare_row(item: tuple[int, int, int, bool, str]) -> tuple:
-    N, k, d, strict, arith = item
+def _compare_row(N: int, k: int, d: int, strict: bool, arith: str) -> tuple:
     if k > N:  # no protocol at all: leave the whole row blank
         return (N, k, None, None, None)
     ratio = float(bounds.fidelity_bound_ratio(N, k, d)) if k <= N // 2 else None
-    pack = _pack_opbt_value(N, k, strict)
+    pack = None if strict and N % k else protocols.packaged_fidelity(N, k)
     exact = performance.fidelity_qubit(N, k, arith=arith).value if d == 2 else None
     return (N, k, ratio, pack, exact)
 
@@ -208,9 +175,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     n_list = _parse_range(args.N_range)
     if not k_list or not n_list:
         raise ValueError("empty k-list or N-range")
-    items = [(N, k, args.d, args.strict_packaging, args.arith)
-             for N in n_list for k in k_list]
-    rows = _ordered_map(_compare_row, items)
+    strict = args.strict_packaging == "true"
+    rows = [_compare_row(N, k, args.d, strict, args.arith) for N in n_list for k in k_list]
     if args.format == "json":
         for N, k, ratio, pack, exact in rows:
             for quantity, val, scheme, method in (
@@ -233,27 +199,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ asympt --
 
 
-def _asympt_value(scheme: SchemeId, figure: Figure, N: int, k: int, d: int) -> float:
-    if figure is Figure.FIDELITY:
-        if scheme is SchemeId.PACK_PBT:
-            return protocols.packaged_fidelity_approx(N, k)
-        if scheme is SchemeId.PACK_OPBT:
-            return math.cos(math.pi / (N / k + 2.0)) ** (2 * k)
-        if scheme is SchemeId.MPBT_BOUND:
-            return float(bounds.fidelity_bound_product(N, k, d))
-    else:
-        if scheme is SchemeId.PACK_PBT:
-            per = 1.0 - protocols.PBT_PSUCC_COEFF / math.sqrt(N / k)
-            return per**k if per > 0 else 0.0
-        if scheme is SchemeId.PACK_OPBT:
-            return (1.0 - 3.0 / (3.0 + N / k)) ** k
-        if scheme is SchemeId.MPBT_EXACT:
-            return psucc_largeN(N, k)
-        if scheme is SchemeId.OMPBT:
-            return float(protocols.ompbt_psucc(N, k, d))
-    raise ValueError(f"unsupported scheme/figure combination: {scheme.value}, {figure.value}")
-
-
 def _cmd_asympt(args: argparse.Namespace) -> int:
     scheme = SchemeId(args.scheme)
     figure = Figure(args.figure)
@@ -272,9 +217,9 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
         k = scaling.k_of(N)
         if k < 1:
             raise ValueError(f"k = floor(a*N^alpha) must be >= 1, got {k} at N={N}")
-        return (N, k, _asympt_value(scheme, figure, N, k, args.d))
+        return (N, k, finite_value(scheme, figure, N, k, args.d))
 
-    rows = _ordered_map(row, n_list)
+    rows = [row(N) for N in n_list]
     if args.format == "json":
         for N, k, value in rows:
             rec = OutputRecord(
@@ -302,15 +247,13 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
     def row(N: int) -> tuple:
         k = sandwich_k(N, a)
         lower, upper, _ = psucc_sandwich(N, a)
-        if args.arith == "exact" or (
-            args.arith == "auto" and N <= performance.EXACT_ARITH_MAX_N
-        ):
+        if performance.resolve_arith(N, args.arith) == "exact":
             mid = float(performance.psucc_qubit(N, k))
         else:
             mid = psucc_largeN(N, k)
         return (N, lower, mid, upper)
 
-    rows = _ordered_map(row, n_list)
+    rows = [row(N) for N in n_list]
     if args.format == "json":
         for N, lower, mid, upper in rows:
             rec = OutputRecord(
@@ -473,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--d", type=int, default=2)
     p_cmp.add_argument(
         "--strict-packaging", dest="strict_packaging",
-        type=lambda s: s.lower() == "true", default=False,
-        help="true: packaged column only where k divides N; false: real N/k formula",
+        choices=("true", "false"), default="false",
+        help="true: blank the packaged column where k does not divide N",
     )
     common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)

@@ -62,13 +62,3 @@ class EvalResult:
     method: str
     arith: str
     rel_err_bound: float
-
-    @classmethod
-    def from_fraction(cls, x: Fraction, method: str) -> "EvalResult":
-        return cls(
-            value=float(x),
-            exact=x,
-            method=method,
-            arith="exact",
-            rel_err_bound=2.0**-53,
-        )

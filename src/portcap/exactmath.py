@@ -14,34 +14,13 @@ radical terms come with a certified relative error far below 1e-15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_EPS = 2.0**-52
 _LN2 = math.log(2.0)
-
-# Route thresholds for ln_binomial: exact big-integer log below _EXACT_COMB_MAX,
-# a compensated log-sum while min(k, n-k) stays moderate, log-gamma beyond.
-_EXACT_COMB_MAX = 10_000
-_LOG_LOOP_MAX = 65_536
 
 # Guard bits for dyadic square-root approximations (relative error <= 2**-128).
 _SQRT_GUARD_BITS = 128
-
-
-@dataclass(frozen=True)
-class RealApprox:
-    """A float together with a certified relative error bound."""
-
-    value: float
-    rel_err_bound: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
-        if self.rel_err_bound < 0:
-            raise ValueError("rel_err_bound must be nonnegative")
 
 
 def binomial(n: int, k: int) -> int:
@@ -74,33 +53,6 @@ def ln_int(x: int) -> float:
         return math.log(x)
     shift = x.bit_length() - 53
     return math.log(x >> shift) + shift * _LN2
-
-
-def ln_binomial(n: int, k: int) -> RealApprox:
-    """ln C(n, k) for 0 <= k <= n, stable for n far beyond float factorials."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        raise ValueError(f"ln_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    kk = min(k, n - k)
-    if kk == 0:
-        return RealApprox(0.0, 0.0)
-    if n <= _EXACT_COMB_MAX:
-        return RealApprox(ln_int(math.comb(n, k)), 8 * _EPS)
-    if kk <= _LOG_LOOP_MAX:
-        terms = [math.log(n - t) - math.log(t + 1) for t in range(kk)]
-        value = math.fsum(terms)
-        bound = max(2 * kk * _EPS * math.log(n) / value, _EPS) if value > 0 else _EPS
-        return RealApprox(value, min(bound, 1e-13))
-    big = math.lgamma(n + 1)
-    value = big - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    bound = max(8 * _EPS * big / max(value, 1.0), _EPS)
-    return RealApprox(value, bound)
-
-
-def to_real(x: Fraction | int) -> RealApprox:
-    """Correctly rounded float view of an exact rational."""
-    return RealApprox(float(Fraction(x)), 2.0**-53)
 
 
 def sqrt_as_fraction(x: int) -> tuple[Fraction, bool]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import EvalResult
+from .core import EvalResult, ProtocolParams
 from .exactmath import binomial, ln_int, logsumexp, square_of_radical_sum
 from .tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
 
@@ -34,11 +34,14 @@ EXACT_ARITH_MAX_N = 200
 _LN2 = math.log(2.0)
 
 
-def _check_nk(N: int, k: int) -> None:
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 1 <= k <= N:
-        raise ValueError(f"k must satisfy 1 <= k <= N={N}, got {k}")
+def resolve_arith(N: int, arith: str) -> str:
+    """The arithmetic path, "exact" or "log", that ``arith`` selects at N
+    ports: "auto" takes exact rationals up to EXACT_ARITH_MAX_N."""
+    if arith not in ("auto", "exact", "log"):
+        raise ValueError(f"arith must be auto/exact/log, got {arith!r}")
+    if arith == "auto":
+        return "exact" if N <= EXACT_ARITH_MAX_N else "log"
+    return arith
 
 
 def spin_path_count(two_s: int, two_j: int, k: int) -> int:
@@ -70,9 +73,7 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     diagram block contains a single reachable mu); otherwise the float carries
     a certified relative error below 1e-15.
     """
-    _check_nk(N, k)
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    ProtocolParams(N, k, d)
     total = Fraction(0)
     all_exact = True
     for alpha in enumerate_diagrams(N - k, d):
@@ -98,9 +99,7 @@ def psucc_exact(N: int, k: int, d: int = 2) -> Fraction:
 
         d**-N * sum_alpha m_alpha**2 * min_{mu in alpha} d_mu / m_mu
     """
-    _check_nk(N, k)
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    ProtocolParams(N, k, d)
     total = Fraction(0)
     for alpha in enumerate_diagrams(N - k, d):
         m_alpha = ssyt_count(alpha, d)
@@ -131,12 +130,8 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     precision; ``arith`` selects the exact-rational path ("exact", default for
     N <= 200) or the overflow-safe log-space path ("log").
     """
-    _check_nk(N, k)
-    if arith not in ("auto", "exact", "log"):
-        raise ValueError(f"arith must be auto/exact/log, got {arith!r}")
-    if arith == "auto":
-        arith = "exact" if N <= EXACT_ARITH_MAX_N else "log"
-    if arith == "exact":
+    ProtocolParams(N, k)
+    if resolve_arith(N, arith) == "exact":
         total = Fraction(0)
         all_exact = True
         for two_s in _two_s_range(N, k):
@@ -184,7 +179,7 @@ def psucc_qubit(N: int, k: int) -> Fraction:
 
         p = 2**-N / (N+1) * sum_s (2s+1)**2 * C(N+1, (N-k)/2 - s)
     """
-    _check_nk(N, k)
+    ProtocolParams(N, k)
     total = 0
     for two_s in _two_s_range(N, k):
         total += (two_s + 1) ** 2 * binomial(N + 1, (N - k - two_s) // 2)

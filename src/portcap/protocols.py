@@ -11,7 +11,8 @@ Schemes compared against the multi-port protocol:
 When the number of teleported systems scales as k = floor(a * N**alpha), each
 scheme's figure of merit jumps from 1 to 0 at a critical exponent alpha_cr,
 taking a finite constant exactly at the threshold.  ``critical_limit``
-classifies the N -> infinity limit for every supported (scheme, figure) pair.
+classifies the N -> infinity limit for every supported (scheme, figure) pair,
+and ``finite_value`` evaluates the finite-N curve that approaches it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
-from .asymptotics import gaussian_limit
+from .asymptotics import gaussian_limit, psucc_largeN
+from .bounds import fidelity_bound_product
 from .performance import fidelity_qubit
 
 PBT_PSUCC_COEFF = math.sqrt(8.0 / math.pi)
@@ -85,25 +88,22 @@ def opbt_fidelity(N: int) -> float:
     return math.cos(math.pi / (N + 2)) ** 2
 
 
-def packaged_fidelity(N: int, k: int, base: str = "opbt", strict: bool = True) -> float:
-    """Fidelity of k independent single-port protocols of N/k ports each.
+def packaged_fidelity(N: int, k: int, base: str = "opbt") -> float:
+    """Fidelity of k independent single-port protocols sharing N ports.
 
-    ``base`` selects the per-package protocol: "pbt" (exact non-optimal qubit
-    fidelity) or "opbt".  In strict mode k must divide N; otherwise each
-    package gets floor(N/k) ports, which biases the value slightly downward.
+    ``base`` selects the per-package protocol.  "opbt" gives each package the
+    real port count N/k, cos(pi/(N/k + 2))**(2k), which is how the packaged
+    curves are drawn; N/k need not be an integer.  "pbt" uses the exact
+    non-optimal qubit fidelity of N/k ports and requires k | N.
     """
-    if k < 1 or N < k:
-        raise ValueError(f"require 1 <= k <= N, got N={N}, k={k}")
-    if strict:
-        if N % k:
-            raise ValueError(f"strict packaging requires k | N, got N={N}, k={k}")
-        ports = N // k
-    else:
-        ports = N // k
+    if k < 1 or N < 1:
+        raise ValueError(f"require N, k >= 1, got N={N}, k={k}")
     if base == "opbt":
-        return opbt_fidelity(ports) ** k
+        return math.cos(math.pi / (N / k + 2.0)) ** (2 * k)
     if base == "pbt":
-        return fidelity_qubit(ports, 1).value ** k
+        if N % k:
+            raise ValueError(f"packaged pbt requires k | N, got N={N}, k={k}")
+        return fidelity_qubit(N // k, 1).value ** k
     raise ValueError(f"base must be 'pbt' or 'opbt', got {base!r}")
 
 
@@ -161,6 +161,47 @@ _ALPHA_CR: dict[tuple[SchemeId, Figure], float] = {
     (SchemeId.MPBT_EXACT, Figure.PSUCC): 0.5,
     (SchemeId.OMPBT, Figure.PSUCC): 1.0,
 }
+
+
+def _packaged_psucc(per_package: float, k: int) -> float:
+    return per_package**k if per_package > 0 else 0.0
+
+
+# (scheme, figure) -> finite-N value at (N, k, d); the curves critical_limit classifies
+_MODEL: dict[tuple[SchemeId, Figure], Callable[[int, int, int], float]] = {
+    (SchemeId.PACK_PBT, Figure.FIDELITY): lambda N, k, d: packaged_fidelity_approx(N, k),
+    (SchemeId.PACK_OPBT, Figure.FIDELITY): lambda N, k, d: packaged_fidelity(N, k, "opbt"),
+    (SchemeId.MPBT_BOUND, Figure.FIDELITY): lambda N, k, d: float(
+        fidelity_bound_product(N, k, d)
+    ),
+    (SchemeId.PACK_PBT, Figure.PSUCC): lambda N, k, d: _packaged_psucc(
+        1.0 - PBT_PSUCC_COEFF / math.sqrt(N / k), k
+    ),
+    (SchemeId.PACK_OPBT, Figure.PSUCC): lambda N, k, d: _packaged_psucc(
+        1.0 - 3.0 / (3.0 + N / k), k
+    ),
+    (SchemeId.MPBT_EXACT, Figure.PSUCC): lambda N, k, d: psucc_largeN(N, k),
+    (SchemeId.OMPBT, Figure.PSUCC): lambda N, k, d: float(ompbt_psucc(N, k, d)),
+}
+
+
+def finite_value(scheme: SchemeId, figure: Figure, N: int, k: int, d: int = 2) -> float:
+    """The scheme's figure of merit at N ports and k teleported systems.
+
+    The packaged forms take the real port count N/k per package, the
+    multi-port bound is the product form and the exact multi-port value the
+    log-space sum.  Only the bound and OMPBT rows take general d.
+    """
+    scheme, figure = SchemeId(scheme), Figure(figure)
+    try:
+        model = _MODEL[(scheme, figure)]
+    except KeyError:
+        raise ValueError(
+            f"unsupported scheme/figure combination: {scheme.value}, {figure.value}"
+        )
+    if d != 2 and scheme not in (SchemeId.MPBT_BOUND, SchemeId.OMPBT):
+        raise ValueError(f"scheme {scheme.value} is modelled for qubits only (d=2)")
+    return model(N, k, d)
 
 
 def critical_exponent(scheme: SchemeId, figure: Figure) -> float:

@@ -76,6 +76,17 @@ class TestSandwichK:
         # keeping the value under the bound computed at 5)
         assert sandwich_k(100, 0.5) == 6
 
+    # Known defect: a*sqrt(N) = 22.91 at N = 2100 and 48.99 at N = 9600 round
+    # down to k = 22 and 48, and the success probability at that smaller k
+    # (0.43535, 0.42735) exceeds the upper bound (0.43218, 0.42529).  The
+    # log-space sum is what `gauss` prints at these N; the exact rational
+    # agrees to 1e-12 but takes seconds at N = 9600.
+    @pytest.mark.xfail(strict=True, reason="sandwich_k may round a*sqrt(N) down")
+    @pytest.mark.parametrize("N", [2100, 9600])
+    def test_rounded_k_stays_under_upper_bound(self, N):
+        _, upper, _ = psucc_sandwich(N, 0.5)
+        assert psucc_largeN(N, sandwich_k(N, 0.5)) <= upper
+
 
 class TestSandwich:
     def test_domain(self):

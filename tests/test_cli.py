@@ -108,6 +108,28 @@ class TestCompareCommand:
         row = out.strip().split("\n")[1]
         assert row.split(",")[3] == ""
 
+    def test_strict_packaging_only_blanks(self, capsys):
+        # d = 3 leaves the qubit column empty, which keeps the grid fast; the
+        # packaged column is the same qubit curve at any d
+        args = ("compare", "--k-list", "4,6,8", "--N-range", "8:2000:4", "--d", "3")
+        _, default, _ = run_cli(capsys, *args)
+        _, strict, _ = run_cli(capsys, *args, "--strict-packaging", "true")
+        blanked = 0
+        for row, strict_row in zip(default.splitlines()[1:], strict.splitlines()[1:]):
+            N, k, _, pack, _ = row.split(",")
+            cell = strict_row.split(",")[3]
+            if int(N) % int(k):
+                assert cell == ""
+                blanked += 1
+            else:
+                assert cell == pack, row
+        assert blanked > 0
+
+    def test_strict_packaging_rejects_other_words(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--k-list", "4", "--N-range", "8:8", "--strict-packaging", "yes"])
+        assert exc.value.code == 2
+
     def test_empty_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--k-list", "4", "--N-range", "9:3")
         assert code == 2
@@ -188,14 +210,3 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
-
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        args = (
-            "asympt", "--scheme", "mpbt", "--figure", "psucc",
-            "--a", "1.0", "--alpha", "0.5", "--N-list", "100,400,1600",
-        )
-        monkeypatch.setenv("PORTCAP_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("PORTCAP_THREADS", "8")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded

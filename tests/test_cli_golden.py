@@ -56,7 +56,7 @@ GOLDEN = [
     ("compare --k-list 2,5,12 --N-range 4:16:3 --strict-packaging true", 0, "99ed41b4b30ae87c4d3882d349ec21092d2d42a544814a0c61dd85db85d2b7f3"),
     ("compare --k-list 4,6,8 --N-range 300:600:61 --arith log", 0, "b094e2a0e7a4d0087293a789bb46f4c20eb4395dbbaaefbc2d89dd66b890d782"),
     ("compare --k-list 4 --N-range 544:544", 0, "642812acefc862390ce36b9bd01c43cbc0902c8680e319cf99e0eceee1f9c144"),
-    ("compare --k-list 4 --N-range 544:544 --strict-packaging true", 0, "c30ae46f8030a40653e87bf9a57a346201743a8625320b27e15e468ef0e2f5c8"),
+    ("compare --k-list 4 --N-range 544:544 --strict-packaging true", 0, "642812acefc862390ce36b9bd01c43cbc0902c8680e319cf99e0eceee1f9c144"),
     ("compare --k-list 3,4 --N-range 12:24:6 --d 3", 0, "ca77ae78f3732e19d64dd4add76bc65cea37de4f59297973f450813365aa8974"),
     ("asympt --scheme pack-pbt --figure fidelity --a 1.0 --alpha 0.5 --N-list 100,400,1600", 0, "8f2cea756b5ebf7b459438c597570818600225b752fcd3224573364f42107bcd"),
     ("asympt --scheme pack-pbt --figure fidelity --a 2.0 --alpha 1.2 --N-list 10,20", 0, "7154bba3f57b188ce9243f8b5fb4b9b7e6e41b3e457148919fb9bd9b92e5fc55"),
@@ -80,7 +80,7 @@ GOLDEN = [
     ("verify --max-dim 64", 0, "f393dd3b13cc2ffc339af33a4538b9fa5491ec84ebfc4f305bd8dbe43c41ea97"),
     ("compare --k-list 4 --N-range 9:3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 4 --N-range 9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("compare --k-list 4 --N-range 8:16 --strict-packaging yes", 0, "773d6f7e9cb649dfeff88d546d94e87b36c182ac47bd21b91a9b6b8934c2dd80"),
+    ("compare --k-list 4 --N-range 8:16 --strict-packaging yes", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method bound-ratio --N 3 --k 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method qubit --N 4 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method exact --N 4 --k 5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

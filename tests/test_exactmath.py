@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from portcap.exactmath import (
     binomial,
     falling_factorial,
-    ln_binomial,
     ln_int,
     logsumexp,
     sqrt_as_fraction,
     square_of_radical_sum,
-    to_real,
 )
 
 
@@ -52,48 +50,6 @@ class TestFallingFactorial:
     def test_matches_binomial_times_factorial(self, n, k):
         if k <= n:
             assert falling_factorial(n, k) == binomial(n, k) * math.factorial(k)
-
-
-class TestLnBinomial:
-    def test_small_values(self):
-        assert math.isclose(ln_binomial(5, 2).value, math.log(10), rel_tol=1e-13)
-        assert ln_binomial(7, 0).value == 0.0
-        assert ln_binomial(7, 7).value == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ln_binomial(5, 6)
-        with pytest.raises(ValueError):
-            ln_binomial(5, -1)
-
-    def test_agrees_with_exact_up_to_60(self):
-        for n in range(61):
-            for k in range(n + 1):
-                c = binomial(n, k)
-                assert math.isclose(math.exp(ln_binomial(n, k).value), c, rel_tol=1e-12)
-
-    def test_large_argument_is_finite_and_bounded(self):
-        for n, k in [(10**6, 10**3), (10**6, 5 * 10**5), (10**5, 4097)]:
-            r = ln_binomial(n, k)
-            assert math.isfinite(r.value) and r.value > 0
-            assert r.rel_err_bound <= 1e-13
-
-    def test_cross_validates_exact_path_at_60(self):
-        # same quantity through the other arithmetic path
-        assert math.isclose(
-            ln_binomial(60, 17).value, ln_int(math.comb(60, 17)), rel_tol=1e-13
-        )
-
-
-class TestToReal:
-    def test_dyadic_exact(self):
-        assert to_real(Fraction(5, 16)).value == 0.3125
-        assert to_real(Fraction(13, 32)).value == 0.40625
-
-    def test_third(self):
-        r = to_real(Fraction(1, 3))
-        assert math.isclose(r.value, 1 / 3, rel_tol=1e-15)
-        assert r.rel_err_bound <= 2.0**-53
 
 
 class TestLnInt:

@@ -12,6 +12,7 @@ from portcap.protocols import (
     SchemeId,
     critical_exponent,
     critical_limit,
+    finite_value,
     ompbt_psucc,
     opbt_fidelity,
     packaged_fidelity,
@@ -61,12 +62,14 @@ class TestPackaged:
         expected = fidelity_exact(2, 1, 2).value ** 2
         assert math.isclose(packaged_fidelity(4, 2, base="pbt"), expected, rel_tol=1e-12)
 
-    def test_strict_mode_requires_divisibility(self):
+    def test_pbt_package_requires_divisibility(self):
         with pytest.raises(ValueError):
-            packaged_fidelity(7, 2, base="opbt", strict=True)
-        # floor mode accepts and uses 3 ports per package
-        val = packaged_fidelity(7, 2, base="opbt", strict=False)
-        assert math.isclose(val, opbt_fidelity(3) ** 2, rel_tol=1e-14)
+            packaged_fidelity(7, 2, base="pbt")
+
+    def test_opbt_package_takes_real_ports(self):
+        # 3.5 ports per package, not floor(7/2) = 3
+        val = packaged_fidelity(7, 2, base="opbt")
+        assert math.isclose(val, math.cos(math.pi / 5.5) ** 4, rel_tol=1e-14)
 
     def test_approx_forms(self):
         for k in (1, 2, 5):
@@ -157,8 +160,6 @@ class TestCriticalLimit:
 
     def test_convergence_along_grid(self):
         # strictly below / above alpha_cr the finite-N curve heads to 1 / 0
-        from portcap.cli import _asympt_value
-
         grid = (100, 1000, 10_000, 100_000)
         cases = [
             (SchemeId.PACK_PBT, Figure.FIDELITY, 1.0),
@@ -172,14 +173,14 @@ class TestCriticalLimit:
         for scheme, figure, a in cases:
             a_cr = critical_exponent(scheme, figure)
             lo = [
-                _asympt_value(scheme, figure, N, ScalingSpec(a, a_cr - 0.15).k_of(N), 2)
+                finite_value(scheme, figure, N, ScalingSpec(a, a_cr - 0.15).k_of(N), 2)
                 for N in grid
             ]
             assert all(b > x for x, b in zip(lo, lo[1:])), (scheme, figure, lo)
             if scheme in (SchemeId.MPBT_BOUND,):
                 continue  # no zero region: scaling undefined above alpha = 1
             hi = [
-                _asympt_value(scheme, figure, N, ScalingSpec(a, a_cr + 0.15).k_of(N), 2)
+                finite_value(scheme, figure, N, ScalingSpec(a, a_cr + 0.15).k_of(N), 2)
                 for N in grid[-2:]
             ]
             assert all(x <= y + 1e-30 for x, y in zip(hi[1:], hi[:-1])), (scheme, figure)
