@@ -15,15 +15,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import bounds, performance, protocols, simulate
-from .asymptotics import gaussian_limit, psucc_largeN, psucc_sandwich, sandwich_k
-from .core import ProtocolParams
+from .asymptotics import gaussian_limit, psucc_sandwich, sandwich_k
+from .core import EvalResult, ProtocolParams
 from .protocols import Figure, ScalingSpec, SchemeId, finite_value
 
 
@@ -47,19 +47,16 @@ def _fmt_exact(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit_records(records: Iterable[OutputRecord], fmt: str) -> None:
-    records = list(records)
+def _emit_records(
+    fmt: str, records: Iterable[OutputRecord], header: str, lines: Iterable[str]
+) -> None:
+    """Print ``records`` as JSON lines, or ``lines`` as CSV under ``header``."""
     if fmt == "json":
-        for rec in records:
-            print(json.dumps(asdict(rec)))
-        return
-    print("scheme,N,k,d,quantity,value,exact,method")
-    for rec in records:
-        exact = rec.exact if rec.exact is not None else ""
-        print(
-            f"{rec.scheme},{rec.N},{rec.k},{rec.d},{rec.quantity},"
-            f"{rec.value},{exact},{rec.method}"
-        )
+        lines = (json.dumps(asdict(rec)) for rec in records)
+    else:
+        print(header)
+    for line in lines:
+        print(line)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -77,97 +74,98 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-# ---------------------------------------------------------------- fidelity --
+# ------------------------------------------------------- fidelity / psucc --
+
+
+def _emit_value(
+    args: argparse.Namespace,
+    scheme: str,
+    quantity: str,
+    value: EvalResult | Fraction | float,
+    method: str | None,
+) -> int:
+    """Print one value.  An EvalResult names its own method; the qubit
+    forms, which run on either arithmetic path, also name the path taken."""
+    exact = value if isinstance(value, Fraction) else None
+    if isinstance(value, EvalResult):
+        qubit_form = value.method == "angular-momentum"
+        method = f"{value.method}/{value.arith}" if qubit_form else value.method
+        value, exact = value.value, value.exact
+    rec = OutputRecord(scheme, args.N, args.k, args.d, quantity, _fmt(float(value)),
+                       None if exact is None else _fmt_exact(exact), method)
+    line = ",".join("" if v is None else str(v) for v in astuple(rec))
+    _emit_records(args.format, [rec], ",".join(f.name for f in fields(rec)), [line])
+    return 0
+
+
+def _fidelity_qubit(args: argparse.Namespace) -> EvalResult:
+    if args.d != 2:
+        raise ValueError("method 'qubit' requires d=2")
+    return performance.fidelity_qubit(args.N, args.k, args.arith)
+
+
+def _psucc_mpbt(args: argparse.Namespace) -> EvalResult:
+    if performance.resolve_arith(args.N, args.arith, args.d) == "log":
+        return performance.psucc_qubit(args.N, args.k, "log")
+    return performance.psucc_exact(args.N, args.k, args.d)
+
+
+def _single_qubit_reference(args: argparse.Namespace) -> float:
+    if args.d != 2 or args.k != 1:
+        raise ValueError(f"scheme '{args.scheme}' is the single-qubit reference (d=2, k=1)")
+    return protocols.psucc_baselines(args.N, args.scheme)
+
+
+# --method / --scheme -> (value of the parsed arguments, method column); an
+# EvalResult names its own method
+_FIDELITY = {
+    "exact": (lambda a: performance.fidelity_exact(a.N, a.k, a.d), None),
+    "qubit": (_fidelity_qubit, None),
+    "bound-ratio": (lambda a: bounds.fidelity_bound_ratio(a.N, a.k, a.d), "bound-ratio"),
+    "bound-product": (lambda a: bounds.fidelity_bound_product(a.N, a.k, a.d), "bound-product"),
+    "bound-bernoulli": (
+        lambda a: bounds.fidelity_bound_bernoulli(a.N, a.k, a.d), "bound-bernoulli"
+    ),
+    "oracle": (lambda a: simulate.srm_fidelity(ProtocolParams(a.N, a.k, a.d)), "oracle-srm"),
+}
+_PSUCC = {
+    "mpbt": (_psucc_mpbt, None),
+    "ompbt": (lambda a: protocols.ompbt_psucc(a.N, a.k, a.d), "closed-form"),
+    "opbt": (_single_qubit_reference, "closed-form"),
+    "pbt-approx": (_single_qubit_reference, "closed-form"),
+}
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    N, k, d = args.N, args.k, args.d
-    method = args.method
-    exact: str | None = None
-    if method == "exact":
-        res = performance.fidelity_exact(N, k, d)
-        value = res.value
-        exact = _fmt_exact(res.exact) if res.exact is not None else None
-        tag = res.method
-    elif method == "qubit":
-        if d != 2:
-            raise ValueError("method 'qubit' requires d=2")
-        res = performance.fidelity_qubit(N, k, arith=args.arith)
-        value = res.value
-        exact = _fmt_exact(res.exact) if res.exact is not None else None
-        tag = f"{res.method}/{res.arith}"
-    elif method in ("bound-ratio", "bound-product", "bound-bernoulli"):
-        fn = {
-            "bound-ratio": bounds.fidelity_bound_ratio,
-            "bound-product": bounds.fidelity_bound_product,
-            "bound-bernoulli": bounds.fidelity_bound_bernoulli,
-        }[method]
-        frac = fn(N, k, d)
-        value = float(frac)
-        exact = _fmt_exact(frac)
-        tag = method
-    elif method == "oracle":
-        value = simulate.srm_fidelity(ProtocolParams(N, k, d))
-        tag = "oracle-srm"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    scheme = "mpbt-bound" if method.startswith("bound") else "mpbt"
-    _emit_records(
-        [OutputRecord(scheme, N, k, d, "fidelity", _fmt(value), exact, tag)],
-        args.format,
-    )
-    return 0
+    value, method = _FIDELITY[args.method]
+    scheme = "mpbt-bound" if args.method.startswith("bound") else "mpbt"
+    return _emit_value(args, scheme, "fidelity", value(args), method)
 
 
 def _cmd_psucc(args: argparse.Namespace) -> int:
-    N, k, d = args.N, args.k, args.d
-    scheme = args.scheme
-    exact: str | None = None
-    if scheme == "mpbt":
-        if performance.resolve_arith(N, args.arith) == "log":
-            if d != 2:
-                raise ValueError("log-space success probability requires d=2")
-            value = psucc_largeN(N, k)
-            tag = "angular-momentum/log"
-        else:
-            frac = performance.psucc_exact(N, k, d)
-            value = float(frac)
-            exact = _fmt_exact(frac)
-            tag = "schur-weyl-sum"
-    elif scheme == "ompbt":
-        frac = protocols.ompbt_psucc(N, k, d)
-        value = float(frac)
-        exact = _fmt_exact(frac)
-        tag = "closed-form"
-    elif scheme == "opbt":
-        if d != 2 or k != 1:
-            raise ValueError("scheme 'opbt' is the single-qubit reference (d=2, k=1)")
-        value = protocols.psucc_baselines(N, "opbt")
-        tag = "closed-form"
-    elif scheme == "pbt-approx":
-        if d != 2 or k != 1:
-            raise ValueError("scheme 'pbt-approx' is the single-qubit reference (d=2, k=1)")
-        value = protocols.psucc_baselines(N, "pbt-approx")
-        tag = "closed-form"
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _emit_records(
-        [OutputRecord(scheme, N, k, d, "psucc", _fmt(value), exact, tag)],
-        args.format,
-    )
-    return 0
+    value, method = _PSUCC[args.scheme]
+    return _emit_value(args, args.scheme, "psucc", value(args), method)
 
 
 # ----------------------------------------------------------------- compare --
+
+
+# compare's value columns: (quantity, scheme, method) of each JSON record
+_COMPARE_COLUMNS = (
+    ("bound_ratio", "mpbt-bound", "bound-ratio"),
+    ("pack_opbt", "pack-opbt", "closed-form"),
+    ("exact_qubit", "mpbt", "angular-momentum"),
+)
 
 
 def _compare_row(N: int, k: int, d: int, strict: bool, arith: str) -> tuple:
     if k > N:  # no protocol at all: leave the whole row blank
         return (N, k, None, None, None)
     ratio = float(bounds.fidelity_bound_ratio(N, k, d)) if k <= N // 2 else None
+    if d != 2:  # the packaged and exact columns are qubit forms
+        return (N, k, ratio, None, None)
     pack = None if strict and N % k else protocols.packaged_fidelity(N, k)
-    exact = performance.fidelity_qubit(N, k, arith=arith).value if d == 2 else None
-    return (N, k, ratio, pack, exact)
+    return (N, k, ratio, pack, performance.fidelity_qubit(N, k, arith).value)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -177,22 +175,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("empty k-list or N-range")
     strict = args.strict_packaging == "true"
     rows = [_compare_row(N, k, args.d, strict, args.arith) for N in n_list for k in k_list]
-    if args.format == "json":
-        for N, k, ratio, pack, exact in rows:
-            for quantity, val, scheme, method in (
-                ("bound_ratio", ratio, "mpbt-bound", "bound-ratio"),
-                ("pack_opbt", pack, "pack-opbt", "closed-form"),
-                ("exact_qubit", exact, "mpbt", "angular-momentum"),
-            ):
-                if val is None:
-                    continue
-                rec = OutputRecord(scheme, N, k, args.d, quantity, _fmt(val), None, method)
-                print(json.dumps(asdict(rec)))
-        return 0
-    print("N,k,bound_ratio,pack_opbt,exact_qubit")
-    for N, k, ratio, pack, exact in rows:
-        cells = ["" if v is None else _fmt(v) for v in (ratio, pack, exact)]
-        print(f"{N},{k},{cells[0]},{cells[1]},{cells[2]}")
+    _emit_records(
+        args.format,
+        (
+            OutputRecord(scheme, N, k, args.d, quantity, _fmt(val), None, method)
+            for N, k, *vals in rows
+            for (quantity, scheme, method), val in zip(_COMPARE_COLUMNS, vals)
+            if val is not None
+        ),
+        "N,k,bound_ratio,pack_opbt,exact_qubit",
+        (
+            f"{N},{k}," + ",".join("" if v is None else _fmt(v) for v in vals)
+            for N, k, *vals in rows
+        ),
+    )
     return 0
 
 
@@ -220,17 +216,14 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
         return (N, k, finite_value(scheme, figure, N, k, args.d))
 
     rows = [row(N) for N in n_list]
-    if args.format == "json":
-        for N, k, value in rows:
-            rec = OutputRecord(
-                scheme.value, N, k, args.d, figure.value, _fmt(value), None,
-                f"scaling[a={args.a:g},alpha={args.alpha:g}]",
-            )
-            print(json.dumps(asdict(rec)))
-        return 0
-    print("N,k,value,limit_class,limit_value")
-    for N, k, value in rows:
-        print(f"{N},{k},{_fmt(value)},{limit.kind},{_fmt(limit.value)}")
+    method = f"scaling[a={args.a:g},alpha={args.alpha:g}]"
+    _emit_records(
+        args.format,
+        (OutputRecord(scheme.value, N, k, args.d, figure.value, _fmt(value), None, method)
+         for N, k, value in rows),
+        "N,k,value,limit_class,limit_value",
+        (f"{N},{k},{_fmt(value)},{limit.kind},{_fmt(limit.value)}" for N, k, value in rows),
+    )
     return 0
 
 
@@ -247,24 +240,18 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
     def row(N: int) -> tuple:
         k = sandwich_k(N, a)
         lower, upper, _ = psucc_sandwich(N, a)
-        if performance.resolve_arith(N, args.arith) == "exact":
-            mid = float(performance.psucc_qubit(N, k))
-        else:
-            mid = psucc_largeN(N, k)
-        return (N, lower, mid, upper)
+        return (N, k, lower, performance.psucc_qubit(N, k, args.arith).value, upper)
 
     rows = [row(N) for N in n_list]
-    if args.format == "json":
-        for N, lower, mid, upper in rows:
-            rec = OutputRecord(
-                "mpbt", N, sandwich_k(N, a), 2, "psucc", _fmt(mid), None,
-                f"sandwich[{_fmt(lower)},{_fmt(upper)}]",
-            )
-            print(json.dumps(asdict(rec)))
-        return 0
-    print("N,lower,exact_or_largeN,upper,limit")
-    for N, lower, mid, upper in rows:
-        print(f"{N},{_fmt(lower)},{_fmt(mid)},{_fmt(upper)},{_fmt(limit)}")
+    _emit_records(
+        args.format,
+        (OutputRecord("mpbt", N, k, 2, "psucc", _fmt(mid), None,
+                      f"sandwich[{_fmt(lower)},{_fmt(upper)}]")
+         for N, k, lower, mid, upper in rows),
+        "N,lower,exact_or_largeN,upper,limit",
+        (f"{N},{_fmt(lower)},{_fmt(mid)},{_fmt(upper)},{_fmt(limit)}"
+         for N, _, lower, mid, upper in rows),
+    )
     return 0
 
 
@@ -386,19 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, arith: bool = True) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--arith", choices=("auto", "exact", "log"), default="auto")
+        if arith:
+            p.add_argument("--arith", choices=("auto", "exact", "log"), default="auto")
 
     p_fid = sub.add_parser("fidelity", help="entanglement fidelity of one instance")
     p_fid.add_argument("--N", type=int, required=True)
     p_fid.add_argument("--k", type=int, required=True)
     p_fid.add_argument("--d", type=int, default=2)
-    p_fid.add_argument(
-        "--method",
-        choices=("exact", "qubit", "bound-ratio", "bound-product", "bound-bernoulli", "oracle"),
-        default="exact",
-    )
+    p_fid.add_argument("--method", choices=tuple(_FIDELITY), default="exact")
     common(p_fid)
     p_fid.set_defaults(func=_cmd_fidelity)
 
@@ -406,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ps.add_argument("--N", type=int, required=True)
     p_ps.add_argument("--k", type=int, default=1)
     p_ps.add_argument("--d", type=int, default=2)
-    p_ps.add_argument("--scheme", choices=("mpbt", "ompbt", "opbt", "pbt-approx"), default="mpbt")
+    p_ps.add_argument("--scheme", choices=tuple(_PSUCC), default="mpbt")
     common(p_ps)
     p_ps.set_defaults(func=_cmd_psucc)
 
@@ -430,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_as.add_argument("--N-list", dest="N_list", help="comma list of port counts")
     p_as.add_argument("--N-range", dest="N_range", help="inclusive lo:hi:step")
     p_as.add_argument("--d", type=int, default=2)
-    common(p_as)
+    common(p_as, arith=False)
     p_as.set_defaults(func=_cmd_asympt)
 
     p_g = sub.add_parser("gauss", help="finite-N sandwich around the success probability")

@@ -51,10 +51,17 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed figure of merit with arithmetic-path metadata.
+    """A computed figure of merit with arithmetic-path metadata; every
+    function in ``performance`` returns one.
 
-    ``exact`` carries the value as a reduced rational whenever the fully
-    exact path produced one; ``value`` is always the float view.
+    ``value`` is the float view.  ``exact`` carries the value as a reduced
+    rational whenever the fully exact path produced one, which the success
+    probability always does.  ``method`` names the formula and ``arith`` the
+    path, "exact" or "log".  ``rel_err_bound`` bounds |value - true| / true
+    while the true value lies in the normal float range (the float view
+    underflows below about 2.2e-308).  The tests check the log paths' figures
+    against exact sums for N <= 200, and the success probability's also
+    against 40-digit sums up to N = 99999.
     """
 
     value: float

@@ -96,7 +96,7 @@ def test_criterion_04_qubit_qudit_consistency():
             fq = pc.fidelity_qubit(N, k).value
             fe = pc.fidelity_exact(N, k, 2).value
             assert math.isclose(fq, fe, rel_tol=1e-12), (N, k)
-            assert pc.psucc_qubit(N, k) == pc.psucc_exact(N, k, 2), (N, k)
+            assert pc.psucc_qubit(N, k).exact == pc.psucc_exact(N, k, 2).exact, (N, k)
     _report("criterion-4", "angular-momentum forms == Schur-Weyl sums (fidelity @1e-12 rel, psucc exact), N<=12")
 
 
@@ -125,7 +125,7 @@ def test_criterion_07_known_value_anchors():
     for d in (2, 3, 4):
         for N in range(2, 40):
             assert pc.fidelity_bound_ratio(N, 1, d) == 1 - Fraction(d * d - 1, d * d + N - 1)
-        assert pc.psucc_exact(1, 1, d) == Fraction(1, d * d)
+        assert pc.psucc_exact(1, 1, d).exact == Fraction(1, d * d)
     assert abs(pc.opbt_fidelity(2) - 0.5) < 1e-15
     assert pc.ompbt_psucc(10, 2, 2) == Fraction(15, 26)
     _report("criterion-7", "k=1 bound collapse, opbt_fidelity(2)=0.5, psucc(1,1,d)=1/d^2, ompbt=15/26")

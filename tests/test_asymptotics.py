@@ -77,15 +77,13 @@ class TestSandwichK:
         assert sandwich_k(100, 0.5) == 6
 
     # Known defect: a*sqrt(N) = 22.91 at N = 2100 and 48.99 at N = 9600 round
-    # down to k = 22 and 48, and the success probability at that smaller k
-    # (0.43535, 0.42735) exceeds the upper bound (0.43218, 0.42529).  The
-    # log-space sum is what `gauss` prints at these N; the exact rational
-    # agrees to 1e-12 but takes seconds at N = 9600.
+    # down to k = 22 and 48, and the exact success probability at that
+    # smaller k (0.43535, 0.42735) exceeds the upper bound (0.43218, 0.42529).
     @pytest.mark.xfail(strict=True, reason="sandwich_k may round a*sqrt(N) down")
     @pytest.mark.parametrize("N", [2100, 9600])
     def test_rounded_k_stays_under_upper_bound(self, N):
         _, upper, _ = psucc_sandwich(N, 0.5)
-        assert psucc_largeN(N, sandwich_k(N, 0.5)) <= upper
+        assert psucc_qubit(N, sandwich_k(N, 0.5), arith="exact").value <= upper
 
 
 class TestSandwich:
@@ -134,7 +132,7 @@ class TestPsuccLargeN:
     def test_matches_exact_rational_up_to_60(self):
         for N in range(1, 61):
             for k in range(1, N + 1):
-                exact = float(psucc_qubit(N, k))
+                exact = psucc_qubit(N, k, arith="exact").value
                 assert math.isclose(psucc_largeN(N, k), exact, rel_tol=1e-10), (N, k)
 
     def test_full_teleport_collapses_to_single_term(self):

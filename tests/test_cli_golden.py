@@ -10,13 +10,14 @@ CHANGES.md.  ``verify``'s seconds column is masked before hashing.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 
 import pytest
 
-from portcap.cli import main
+from portcap.cli import build_parser, main
 
 GOLDEN = [
     ("fidelity --method exact --N 5 --k 2", 0, "157ab4532d7e44f95e52199df72e9f9b4fa9131b860de435f645c60aa6253685"),
@@ -41,6 +42,8 @@ GOLDEN = [
     ("psucc --scheme mpbt --N 301 --k 5", 0, "6ff3994205135e9cc547a9f7598fc5e363363b2c752ced6d3048cd3dd0c12701"),
     ("psucc --scheme mpbt --N 8 --k 2 --d 3", 0, "50cc8c1bd44dc4b6ba8958b82dc61b0b2c031bc22bcf23f9915b67de91583e58"),
     ("psucc --scheme mpbt --N 8 --k 2 --d 3 --format json", 0, "e2c911d0a68bb31bdc0fb13e7df11446420b3f70548ec16e7a6b66378ca766c7"),
+    ("psucc --scheme mpbt --N 201 --k 1 --d 3", 0, "771725a52e61a1cb66085e1d4a04478f183e37462e91256dedfa51ffc1b018e6"),
+    ("psucc --scheme mpbt --N 201 --k 1 --d 3 --arith exact", 0, "771725a52e61a1cb66085e1d4a04478f183e37462e91256dedfa51ffc1b018e6"),
     ("psucc --scheme ompbt --N 10 --k 3", 0, "0e43cab624fc9671df49e475afd574f439b93327267286027276b05f992022fc"),
     ("psucc --scheme ompbt --N 10 --k 3 --d 3", 0, "63df38e7897b097b14d43210d7e9c77954f80288a676dae06ee03dac16470a7b"),
     ("psucc --scheme ompbt --N 3 --k 5", 0, "346f24ce5f1371f7517952ac6c779d4920bb037e5f784b470e39f504f6c466da"),
@@ -57,7 +60,7 @@ GOLDEN = [
     ("compare --k-list 4,6,8 --N-range 300:600:61 --arith log", 0, "b094e2a0e7a4d0087293a789bb46f4c20eb4395dbbaaefbc2d89dd66b890d782"),
     ("compare --k-list 4 --N-range 544:544", 0, "642812acefc862390ce36b9bd01c43cbc0902c8680e319cf99e0eceee1f9c144"),
     ("compare --k-list 4 --N-range 544:544 --strict-packaging true", 0, "642812acefc862390ce36b9bd01c43cbc0902c8680e319cf99e0eceee1f9c144"),
-    ("compare --k-list 3,4 --N-range 12:24:6 --d 3", 0, "ca77ae78f3732e19d64dd4add76bc65cea37de4f59297973f450813365aa8974"),
+    ("compare --k-list 3,4 --N-range 12:24:6 --d 3", 0, "817377fdce76ac5ce1a59aed67dcfc47b6f1c50d5278a043ba9f35c54bfdac50"),
     ("asympt --scheme pack-pbt --figure fidelity --a 1.0 --alpha 0.5 --N-list 100,400,1600", 0, "8f2cea756b5ebf7b459438c597570818600225b752fcd3224573364f42107bcd"),
     ("asympt --scheme pack-pbt --figure fidelity --a 2.0 --alpha 1.2 --N-list 10,20", 0, "7154bba3f57b188ce9243f8b5fb4b9b7e6e41b3e457148919fb9bd9b92e5fc55"),
     ("asympt --scheme pack-pbt --figure psucc --a 1.0 --alpha 0.3333333333333333 --N-range 100:1000:300", 0, "1d28380967e8b0b1fd289783c061336efd5c9cd076d1be9a74b6ef88375f734e"),
@@ -89,6 +92,7 @@ GOLDEN = [
     ("asympt --scheme mpbt --figure fidelity --a 1.0 --alpha 0.5 --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme mpbt-bound --figure fidelity --a 1.0 --alpha 1.2 --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme mpbt --figure psucc --a 2.0 --alpha 1.2 --N-list 10,20", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1 --alpha 0.5 --N-list 100 --arith exact", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme pack-pbt --figure psucc --a 0.1 --alpha 0.5 --N-list 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme pack-pbt --figure psucc --a 1.0 --alpha 0.5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("gauss --a 2.5 --N-range 100:200:100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -118,6 +122,33 @@ def test_golden(command, code, sha):
     argv = command.split()
     got_code, stdout = run(argv)
     assert (got_code, digest(argv, stdout)) == (code, sha)
+
+
+def test_auto_arith_takes_the_exact_path_without_a_log_path():
+    shas = {command: sha for command, _, sha in GOLDEN}
+    command = "psucc --scheme mpbt --N 201 --k 1 --d 3"
+    assert shas[command] == shas[command + " --arith exact"]
+
+
+def test_every_method_and_scheme_is_covered():
+    """Each --method/--scheme choice of each command has a golden entry."""
+    commands = [g[0].split() for g in GOLDEN]
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = []
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest not in ("method", "scheme"):
+                continue
+            flag = action.option_strings[0]
+            for choice in action.choices:
+                if not any(
+                    argv[0] == name and (flag, choice) in zip(argv, argv[1:])
+                    for argv in commands
+                ):
+                    missing.append(f"{name} {flag} {choice}")
+    assert not missing
 
 
 if __name__ == "__main__":

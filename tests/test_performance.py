@@ -8,6 +8,7 @@ from portcap.performance import (
     fidelity_qubit,
     psucc_exact,
     psucc_qubit,
+    resolve_arith,
     spin_path_count,
 )
 from portcap.tableaux import skew_count_two_row
@@ -84,24 +85,25 @@ class TestFidelityExact:
 
 class TestPsuccExact:
     def test_known_small_values(self):
-        assert psucc_exact(1, 1, 2) == Fraction(1, 4)
-        assert psucc_exact(1, 1, 3) == Fraction(1, 9)
-        assert psucc_exact(2, 2, 2) == Fraction(1, 12)
+        assert psucc_exact(1, 1, 2).exact == Fraction(1, 4)
+        assert psucc_exact(1, 1, 3).exact == Fraction(1, 9)
+        assert psucc_exact(2, 2, 2).exact == Fraction(1, 12)
 
     def test_unit_interval(self):
         for N in range(1, 11):
             for k in range(1, N + 1):
                 for d in (2, 3):
                     p = psucc_exact(N, k, d)
-                    assert 0 < p <= 1
+                    assert 0 < p.exact <= 1
+                    assert p.value == float(p.exact) and p.arith == "exact"
 
 
 class TestQubitClosedForms:
     def test_anchor_values(self):
         assert math.isclose(fidelity_qubit(1, 1).value, 0.25, rel_tol=1e-15)
-        assert psucc_qubit(1, 1) == Fraction(1, 4)
-        assert psucc_qubit(2, 2) == Fraction(1, 12)
-        assert psucc_qubit(3, 1) == Fraction(13, 32)
+        assert psucc_qubit(1, 1).exact == Fraction(1, 4)
+        assert psucc_qubit(2, 2).exact == Fraction(1, 12)
+        assert psucc_qubit(3, 1).exact == Fraction(13, 32)
 
     def test_fidelity_matches_general_d_form(self):
         for N in range(1, 13):
@@ -113,7 +115,7 @@ class TestQubitClosedForms:
     def test_psucc_matches_general_d_form_exactly(self):
         for N in range(1, 13):
             for k in range(1, N + 1):
-                assert psucc_qubit(N, k) == psucc_exact(N, k, 2), (N, k)
+                assert psucc_qubit(N, k).exact == psucc_exact(N, k, 2).exact, (N, k)
 
     def test_full_teleport_matches_general_form(self):
         for N in range(1, 7):
@@ -125,13 +127,52 @@ class TestQubitClosedForms:
         for N in range(40, 201, 16):
             for k in (1, 2, N // 10, N // 2):
                 exact = fidelity_qubit(N, k, arith="exact").value
-                logp = fidelity_qubit(N, k, arith="log").value
-                assert math.isclose(exact, logp, rel_tol=1e-10), (N, k)
+                res = fidelity_qubit(N, k, arith="log")
+                assert math.isclose(exact, res.value, rel_tol=1e-10), (N, k)
+                assert abs(res.value - exact) <= res.rel_err_bound * exact, (N, k)
+
+    def test_psucc_log_path_within_its_bound_on_overlap_window(self):
+        for N in range(40, 201, 16):
+            for k in (1, 2, N // 10, N // 2):
+                exact = psucc_qubit(N, k, arith="exact").exact
+                res = psucc_qubit(N, k, arith="log")
+                assert (res.arith, res.exact) == ("log", None)
+                assert abs(Fraction(res.value) - exact) <= res.rel_err_bound * exact, (N, k)
+
+    @pytest.mark.parametrize("N,k", [(25600, 160), (99999, 316)])
+    def test_psucc_log_path_within_its_bound_at_large_n(self, N, k):
+        # 40-digit reference by the same ratio recurrence as the exact path.
+        # The log-path error at (99999, 316) is 1.1e-9, above a flat 1e-10.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            total, choose = mpmath.mpf(0), mpmath.mpf(1)
+            for m in range((N - k) // 2 + 1):
+                total += (N - k - 2 * m + 1) ** 2 * choose
+                choose = choose * (N + 1 - m) / (m + 1)
+            ref = total / (mpmath.mpf(2) ** N * (N + 1))
+            res = psucc_qubit(N, k, arith="log")
+            assert abs(res.value - ref) <= res.rel_err_bound * ref
 
     def test_auto_switches_to_log_for_large_n(self):
         res = fidelity_qubit(1000, 3)
         assert res.arith == "log" and 0.9 < res.value < 1.0
+        res = psucc_qubit(1000, 3)
+        assert (res.arith, res.exact) == ("log", None) and 0.8 < res.value < 0.9
 
     def test_bad_arith_rejected(self):
         with pytest.raises(ValueError):
             fidelity_qubit(4, 2, arith="decimal")
+        with pytest.raises(ValueError):
+            psucc_qubit(4, 2, arith="decimal")
+
+
+class TestResolveArith:
+    def test_auto_stays_exact_without_a_log_path(self):
+        assert resolve_arith(201, "auto", d=3) == "exact"
+        assert resolve_arith(10**6, "auto", d=4) == "exact"
+
+    def test_explicit_paths(self):
+        assert resolve_arith(10, "log") == "log"
+        assert resolve_arith(10**6, "exact", d=3) == "exact"
+        with pytest.raises(ValueError):
+            resolve_arith(10, "log", d=3)

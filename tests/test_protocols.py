@@ -97,7 +97,7 @@ class TestOmpbt:
         for N in range(2, 13):
             for k in range(1, N // 2 + 1):
                 for d in (2, 3):
-                    assert psucc_exact(N, k, d) <= ompbt_psucc(N, k, d)
+                    assert psucc_exact(N, k, d).exact <= ompbt_psucc(N, k, d)
 
     def test_linear_rate_limit(self):
         # k = a N at d = 2 tends to (1-a)^3
