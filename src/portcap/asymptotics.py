@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProtocolParams
+from .exactmath import exp_normal
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -123,7 +124,8 @@ def psucc_largeN(N: int, k: int) -> float:
 
         p = 2**-N / (N+1) * sum_s (2s+1)^2 C(N+1, (N-k)/2 - s)
 
-    Stays finite for N up to millions of ports.  The running sum of
+    Stays finite for N up to millions of ports, and raises ValueError where
+    p falls below the smallest normal float.  The running sum of
     ln C(N+1, m) rounds at sizes up to (N+1) ln 2, so the relative error grows
     with N; against 40-digit references it measured 8.5e-14 at N = 200,
     7.1e-13 at N = 1e4, 3.3e-11 at N = 25600, up to 1.1e-9 near N = 1e5 and
@@ -144,4 +146,4 @@ def psucc_largeN(N: int, k: int) -> float:
         - math.log(N + 1.0)
         - N * _LN2
     )
-    return math.exp(ln_p)
+    return exp_normal(ln_p)

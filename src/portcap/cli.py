@@ -311,14 +311,16 @@ def _verify_checks(max_dim: int):
         yield ("signal-sum-purity", p.N, p.k, p.d, purity)
 
         def fidelity_match(p=p, pipeline=pipeline) -> bool:
+            # rho is invariant under port permutations: all outcomes share one trace
             _, traces = pipeline()
+            same = np.ptp(traces) <= 1e-12 * traces.mean()
             oracle = float(traces.sum()) / p.d ** (2 * p.k)
             closed = performance.fidelity_exact(p.N, p.k, p.d).value
             bern = bounds.fidelity_bound_bernoulli(p.N, p.k, p.d)
             prod = bounds.fidelity_bound_product(p.N, p.k, p.d)
             ratio = bounds.fidelity_bound_ratio(p.N, p.k, p.d)
             chain = bern <= prod <= ratio and float(ratio) <= oracle + 1e-9
-            return abs(oracle - closed) <= 1e-9 and chain
+            return abs(oracle - closed) <= 1e-9 and chain and same
 
         yield ("srm-fidelity-vs-formula", p.N, p.k, p.d, fidelity_match)
 
@@ -334,12 +336,15 @@ def _verify_checks(max_dim: int):
         if p.d**p.n <= min(max_dim, 512):
 
             def povm_valid(p=p) -> bool:
-                rho, povm = simulate.rho_and_srm(p)
-                total = sum(povm)
-                if np.abs(total - np.eye(total.shape[0])).max() > 1e-10:
+                # Pi = F F^T shares its nonzero spectrum with F^T F; a
+                # full-rank rho leaves an empty kernel factor
+                _, factors = simulate.rho_and_srm(p)
+                W = np.hstack(factors)
+                if np.abs(W @ W.T - np.eye(W.shape[0])).max() > 1e-10:
                     return False
                 return all(
-                    np.linalg.eigvalsh(element).min() >= -1e-10 for element in povm
+                    F.shape[1] == 0 or np.linalg.eigvalsh(F.T @ F).min() >= -1e-10
+                    for F in factors
                 )
 
             yield ("povm-complete-positive", p.N, p.k, p.d, povm_valid)

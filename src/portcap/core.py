@@ -59,7 +59,7 @@ class EvalResult:
     probability always does.  ``method`` names the formula and ``arith`` the
     path, "exact" or "log".  ``rel_err_bound`` bounds |value - true| / true
     while the true value lies in the normal float range (the float view
-    underflows below about 2.2e-308).  The tests check the log paths' figures
+    underflows below about 2.2e-308, where the log paths raise).  The tests check the log paths' figures
     against exact sums for N <= 200, and the success probability's also
     against 40-digit sums up to N = 99999.
     """

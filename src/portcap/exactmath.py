@@ -14,10 +14,12 @@ radical terms come with a certified relative error far below 1e-15.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 _LN2 = math.log(2.0)
+_LN_MIN_NORMAL = math.log(sys.float_info.min)
 
 # Guard bits for dyadic square-root approximations (relative error <= 2**-128).
 _SQRT_GUARD_BITS = 128
@@ -99,3 +101,14 @@ def logsumexp(values: Iterable[float]) -> float:
         return -math.inf
     top = max(vals)
     return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+
+
+def exp_normal(ln_value: float) -> float:
+    """exp of a log-space result.  Raises when the value lies below the
+    smallest normal float, where it would lose its relative accuracy and
+    print as 0; the exact-rational path still carries such values."""
+    if ln_value < _LN_MIN_NORMAL:
+        raise ValueError(
+            f"log-space value exp({ln_value:.6g}) underflows a float; use --arith exact"
+        )
+    return math.exp(ln_value)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .asymptotics import psucc_largeN
 from .core import EvalResult, ProtocolParams
-from .exactmath import binomial, ln_int, logsumexp, square_of_radical_sum
+from .exactmath import binomial, exp_normal, ln_int, logsumexp, square_of_radical_sum
 from .tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
 
 # Default switch from exact rationals to the log-space float path.
@@ -132,7 +132,8 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     with s over the spins of N-k qubits and j over the spins reachable by
     coupling k more.  Agrees with ``fidelity_exact(N, k, 2)`` to full float
     precision; ``arith`` selects the exact-rational path ("exact", default for
-    N <= 200) or the overflow-safe log-space path ("log").
+    N <= 200) or the overflow-safe log-space path ("log"), which raises
+    ValueError where F falls below the smallest normal float.
     """
     ProtocolParams(N, k)
     if resolve_arith(N, arith) == "exact":
@@ -163,7 +164,7 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
         if inner:
             outer.append(2.0 * logsumexp(inner))
     ln_f = logsumexp(outer) - (N + 2 * k) * _LN2 - math.log(N + 1)
-    return EvalResult(math.exp(ln_f), None, "angular-momentum", "log", rel_err_bound=1e-10)
+    return EvalResult(exp_normal(ln_f), None, "angular-momentum", "log", rel_err_bound=1e-10)
 
 
 def psucc_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:

@@ -8,6 +8,12 @@ are built directly as tensor products of maximally entangled projectors with
 identities, an independent route from the permutation-operator algebra used
 by ``bounds.pairwise_signal_trace``.
 
+The signal sum rho is dense and diagonalized once.  Each signal has rank
+d**(N-k): it is 1/d^N times a sum of all-ones blocks over d**(N-k) groups of
+d**k rows, checked exactly against its coordinates.  The per-outcome traces
+and the square-root measurement are computed from that factor, so no
+per-outcome d**(N+k) x d**(N+k) matrix is formed.
+
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
 """
@@ -90,42 +96,74 @@ def signal_sum(p: ProtocolParams) -> np.ndarray:
     return rho
 
 
+def _signal_groups(ports: tuple[int, ...], p: ProtocolParams) -> np.ndarray:
+    """Row groups of a signal, shape (d**(N-k), d**k): sigma = v * sum_g 1_g 1_g^T
+    with v = 1/d^N, so sigma = v G G^T for the 0/1 indicator G of the groups.
+
+    A row's group is the set of its columns.  The factorization is checked
+    exactly, in integers, against ``_signal_coords``: each of the d**N rows
+    carries d**k entries, and its column set equals its group's row set.
+    """
+    rows, cols = _signal_coords(ports, p)
+    db = p.d**p.k
+    if rows.size != p.d**p.N * db:
+        raise ValueError(f"signal {ports} has {rows.size} entries, expected {p.d**p.N * db}")
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order].reshape(-1, db), cols[order].reshape(-1, db)
+    row_ids = rows[:, 0]
+    by_group = np.lexsort((row_ids, cols[:, 0]))
+    groups = row_ids[by_group].reshape(-1, db)
+    exact = (
+        (rows == row_ids[:, None]).all()
+        and np.unique(row_ids).size == row_ids.size
+        and (cols[by_group].reshape(groups.shape + (db,)) == groups[:, None, :]).all()
+    )
+    if not exact:
+        raise ValueError(f"signal {ports} is not a sum of all-ones blocks over row groups")
+    return groups
+
+
 def _inverse_sqrt_on_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho^(-1/2) on its support, support projector), support decided by the
-    relative eigenvalue threshold SUPPORT_RTOL."""
+    """(rho^(-1/2) on its support, orthonormal basis of the kernel), support
+    decided by the relative eigenvalue threshold SUPPORT_RTOL."""
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > SUPPORT_RTOL * vals.max()
     vs = vecs[:, keep]
-    inv_sqrt = (vs / np.sqrt(vals[keep])) @ vs.T
-    return inv_sqrt, vs @ vs.T
+    return (vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep]
 
 
 def rho_and_srm(p: ProtocolParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The signal sum and the square-root-measurement POVM.
+    """The signal sum and the square-root-measurement POVM in factored form.
 
-    The returned list holds one element rho^(-1/2) sigma_i rho^(-1/2) per
-    outcome (ordered as ``all_port_tuples``) plus the support-complement
-    projector as the final failure element, so the list sums to the identity.
-    Materializes every element; intended for the small dims the tests use.
+    The returned list holds one dim x d**(N-k) factor F_i = sqrt(v) S G_i per
+    outcome (ordered as ``all_port_tuples``), with S = rho^(-1/2), v = 1/d^N
+    and Pi_i = F_i F_i^T, plus an orthonormal basis K of rho's kernel as the
+    final failure element K K^T.  With W the factors side by side, W W^T is
+    the identity.  No dim x dim element is formed.
     """
     rho = signal_sum(p)
-    inv_sqrt, support = _inverse_sqrt_on_support(rho)
-    povm = []
-    for ports in all_port_tuples(p.N, p.k):
-        sigma = build_signal(ports, p)
-        povm.append(inv_sqrt @ sigma @ inv_sqrt)
-    povm.append(np.eye(rho.shape[0]) - support)
-    return rho, povm
+    inv_sqrt, kernel = _inverse_sqrt_on_support(rho)
+    scale = math.sqrt(1.0 / p.d**p.N)
+    # S is symmetric, so S G_i is the transpose of S's rows summed per group
+    factors = [
+        scale * inv_sqrt[_signal_groups(ports, p)].sum(axis=1).T
+        for ports in all_port_tuples(p.N, p.k)
+    ]
+    factors.append(kernel)
+    return rho, factors
 
 
 def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.ndarray:
     """tr(Pi_i sigma_i) for every outcome, without materializing the POVM.
 
-    With sigma = v * sum_m E[r_m, c_m] (v = 1/d^N) and S = rho^(-1/2),
+    With sigma_i = v G_i G_i^T (v = 1/d^N, see ``_signal_groups``) and
+    S = rho^(-1/2),
 
-        tr(S sigma S sigma) = v^2 * sum_{m,m'} S[c_m, r_m'] S[c_m', r_m],
+        tr(S sigma_i S sigma_i) = v^2 * ||G_i^T S G_i||_F^2,
 
-    a gather of S entries instead of two dense matmuls per outcome.
+    where G_i^T S G_i sums the d**N signal rows of S per group, then those
+    sums' columns per group: d**(2N+k) reads per outcome instead of a
+    d**(N+k) x d**(N+k) gather.
     ``rho`` may be passed in when the caller already built the signal sum.
     """
     if rho is None:
@@ -134,9 +172,9 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
     v = 1.0 / p.d**p.N
     out = []
     for ports in all_port_tuples(p.N, p.k):
-        rows, cols = _signal_coords(ports, p)
-        gathered = inv_sqrt[np.ix_(cols, rows)]
-        out.append(v * v * float(np.einsum("ij,ji->", gathered, gathered)))
+        groups = _signal_groups(ports, p)
+        block = inv_sqrt[groups].sum(axis=1)[:, groups].sum(axis=2)
+        out.append(v * v * float(np.einsum("ij,ij->", block, block)))
     return np.array(out)
 
 

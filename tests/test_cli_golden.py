@@ -81,12 +81,14 @@ GOLDEN = [
     ("gauss --a 0.5 --N-range 100:400:100 --arith log", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),
     ("gauss --a 0.75 --N-range 101:301:100 --format json", 0, "9842275a909705728425a8e4fc8274755d0e23e361852c275e5d556c13c758bc"),
     ("verify --max-dim 64", 0, "f393dd3b13cc2ffc339af33a4538b9fa5491ec84ebfc4f305bd8dbe43c41ea97"),
+    ("verify --max-dim 1024", 0, "0e70d9b4ffa050b2ce6efd615b2bb78499daa0d2aa82a4a93cf07700d496fcdd"),
     ("compare --k-list 4 --N-range 9:3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 4 --N-range 9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 4 --N-range 8:16 --strict-packaging yes", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method bound-ratio --N 3 --k 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method qubit --N 4 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method exact --N 4 --k 5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psucc --N 100000 --k 50000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("psucc --scheme mpbt --N 4 --k 1 --d 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("psucc --scheme opbt --N 5 --k 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme mpbt --figure fidelity --a 1.0 --alpha 0.5 --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

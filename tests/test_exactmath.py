@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from portcap.exactmath import (
     binomial,
+    exp_normal,
     falling_factorial,
     ln_int,
     logsumexp,
@@ -127,3 +129,11 @@ def test_logsumexp_matches_direct():
     direct = math.log(sum(math.exp(v) for v in vals if v != -math.inf))
     assert math.isclose(logsumexp(vals), direct, rel_tol=1e-14)
     assert logsumexp([-math.inf]) == -math.inf
+
+
+def test_exp_normal_refuses_values_below_the_smallest_normal_float():
+    ln_min = math.log(sys.float_info.min)
+    assert math.isclose(exp_normal(ln_min), sys.float_info.min, rel_tol=1e-12)
+    assert exp_normal(-1.5) == math.exp(-1.5)
+    with pytest.raises(ValueError, match="--arith exact"):
+        exp_normal(ln_min - 1e-9)

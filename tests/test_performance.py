@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,14 @@ class TestQubitClosedForms:
             ref = total / (mpmath.mpf(2) ** N * (N + 1))
             res = psucc_qubit(N, k, arith="log")
             assert abs(res.value - ref) <= res.rel_err_bound * ref
+
+    def test_psucc_log_path_refuses_to_underflow(self):
+        # p is a positive rational below the smallest normal float; the log
+        # path used to return 0.0 for it
+        exact = psucc_qubit(100000, 50000, arith="exact").exact
+        assert 0 < exact < sys.float_info.min
+        with pytest.raises(ValueError, match="--arith exact"):
+            psucc_qubit(100000, 50000, arith="log")
 
     def test_auto_switches_to_log_for_large_n(self):
         res = fidelity_qubit(1000, 3)

@@ -9,6 +9,7 @@ from portcap.bounds import (
     pdist_lower,
     trace_rho_bar_squared,
 )
+from portcap import simulate
 from portcap.core import ProtocolParams
 from portcap.performance import fidelity_exact
 from portcap.simulate import (
@@ -81,10 +82,32 @@ class TestSignalSum:
             assert abs(lhs - float(trace_rho_bar_squared(p.N, p.k, p.d))) < 1e-10, p
 
 
+def dense_inverse_sqrt(p):
+    """rho^(-1/2) on its support, from a dense eigensolve of the signal sum."""
+    rho = signal_sum(p)
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > 1e-12 * vals.max()
+    return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+
+
+def dense_srm(p):
+    """Reference POVM elements S sigma_i S from dense signals, S = rho^(-1/2),
+    together with the signals; independent of the factored route."""
+    inv_sqrt = dense_inverse_sqrt(p)
+    sigmas = [build_signal(ports, p) for ports in all_port_tuples(p.N, p.k)]
+    return sigmas, [inv_sqrt @ sigma @ inv_sqrt for sigma in sigmas]
+
+
+def materialized_povm(p):
+    """Every POVM element Pi = F F^T of ``rho_and_srm``'s factors."""
+    _, factors = rho_and_srm(p)
+    return [f @ f.T for f in factors]
+
+
 class TestSrm:
     def test_povm_completeness_and_positivity(self):
         for p in SMALL:
-            rho, povm = rho_and_srm(p)
+            povm = materialized_povm(p)
             total = sum(povm)
             assert np.abs(total - np.eye(total.shape[0])).max() < 1e-10, p
             for element in povm:
@@ -93,10 +116,8 @@ class TestSrm:
     def test_povm_supported_in_signal_range(self):
         # Pi_i = S sigma_i S has range inside span(S @ range(sigma_i))
         for p in [ProtocolParams(2, 1, 2), ProtocolParams(4, 2, 2)]:
-            rho, povm = rho_and_srm(p)
-            vals, vecs = np.linalg.eigh(rho)
-            keep = vals > 1e-12 * vals.max()
-            inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+            povm = materialized_povm(p)
+            inv_sqrt = dense_inverse_sqrt(p)
             for ports, pi in zip(all_port_tuples(p.N, p.k), povm):
                 sigma = build_signal(ports, p)
                 u, s, _ = np.linalg.svd(inv_sqrt @ sigma)
@@ -105,20 +126,82 @@ class TestSrm:
                 residual = pi - proj @ pi @ proj
                 assert np.abs(residual).max() < 1e-10
 
+    def test_factors_match_dense_elements(self):
+        for p in [ProtocolParams(3, 1, 2), ProtocolParams(4, 2, 2), ProtocolParams(2, 1, 3)]:
+            povm = materialized_povm(p)
+            _, reference = dense_srm(p)
+            for pi, ref in zip(povm, reference):
+                assert np.abs(pi - ref).max() < 1e-10, p
+            # failure element: the projector onto rho's kernel
+            failure = np.eye(p.d**p.n) - sum(reference)
+            assert np.abs(povm[-1] - failure).max() < 1e-10, p
+
+    def test_kernel_factor_is_an_orthonormal_kernel_basis(self):
+        for p in [ProtocolParams(2, 1, 2), ProtocolParams(3, 1, 3)]:
+            rho, factors = rho_and_srm(p)
+            kernel = factors[-1]
+            assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() < 1e-12
+            assert np.abs(rho @ kernel).max() < 1e-10
+
     def test_traces_equal_across_outcomes(self):
         # covariance: every outcome contributes the same diagonal trace
         p = ProtocolParams(5, 2, 2)
         traces = srm_signal_traces(p)
         assert np.ptp(traces) < 1e-12
 
-    def test_gather_route_matches_dense_matmul(self):
+    def test_factored_route_matches_dense_matmul(self):
         for p in [ProtocolParams(3, 1, 2), ProtocolParams(4, 2, 2), ProtocolParams(2, 1, 3)]:
-            _, povm = rho_and_srm(p)
+            povm = materialized_povm(p)
             dense = [
                 float(np.trace(pi @ build_signal(ports, p)))
                 for ports, pi in zip(all_port_tuples(p.N, p.k), povm)
             ]
             assert np.abs(srm_signal_traces(p) - np.array(dense)).max() < 1e-12
+
+    def test_traces_match_dense_reference(self):
+        for p in SMALL:
+            sigmas, reference = dense_srm(p)
+            dense = [float(np.trace(ref @ sigma)) for sigma, ref in zip(sigmas, reference)]
+            assert np.abs(srm_signal_traces(p) - np.array(dense)).max() <= 1e-12, p
+
+
+class TestSignalFactorization:
+    def test_groups_reproduce_the_signal_exactly(self):
+        for p in [ProtocolParams(3, 1, 2), ProtocolParams(4, 2, 2), ProtocolParams(3, 2, 3)]:
+            for ports in all_port_tuples(p.N, p.k):
+                groups = simulate._signal_groups(ports, p)
+                assert groups.shape == (p.d ** (p.N - p.k), p.d**p.k)
+                indicator = np.zeros((p.d**p.n, len(groups)))
+                indicator[groups, np.arange(len(groups))[:, None]] = 1.0
+                sigma = indicator @ indicator.T / p.d**p.N
+                assert np.array_equal(sigma, build_signal(ports, p)), (p, ports)
+
+    def test_dropped_coordinate_is_rejected(self, monkeypatch):
+        coords = simulate._signal_coords
+        monkeypatch.setattr(
+            simulate, "_signal_coords",
+            lambda ports, p: tuple(a[1:] for a in coords(ports, p)),
+        )
+        with pytest.raises(ValueError):
+            simulate._signal_groups((1, 2), ProtocolParams(4, 2, 2))
+        with pytest.raises(ValueError):
+            srm_signal_traces(ProtocolParams(4, 2, 2))
+
+    def test_moved_coordinate_is_rejected(self, monkeypatch):
+        coords = simulate._signal_coords
+
+        def moved(ports, p):
+            rows, cols = coords(ports, p)
+            cols = cols.copy()
+            cols[0] = (cols[0] + 1) % p.d**p.n
+            return rows, cols
+
+        monkeypatch.setattr(simulate, "_signal_coords", moved)
+        for ports in all_port_tuples(4, 2):
+            with pytest.raises(ValueError):
+                simulate._signal_groups(ports, ProtocolParams(4, 2, 2))
+        with pytest.raises(ValueError):
+            rho_and_srm(ProtocolParams(4, 2, 2))
 
 
 class TestFiguresOfMerit:
