@@ -105,8 +105,9 @@ def _fidelity_qubit(args: argparse.Namespace) -> EvalResult:
 
 
 def _psucc_mpbt(args: argparse.Namespace) -> EvalResult:
-    if performance.resolve_arith(args.N, args.arith, args.d) == "log":
-        return performance.psucc_qubit(args.N, args.k, "log")
+    arith = performance.resolve_arith(args.N, args.arith, args.d)
+    if args.d == 2:
+        return performance.psucc_qubit(args.N, args.k, arith)
     return performance.psucc_exact(args.N, args.k, args.d)
 
 

@@ -78,20 +78,28 @@ def square_of_radical_sum(terms: Sequence[tuple[int, int]]) -> tuple[Fraction, b
     is the true rational value.  Otherwise the result carries a certified
     relative error below len(terms)**2 * 2**-128 (all terms are nonnegative,
     so no cancellation amplifies it).
+
+    Every term is an integer multiple of 2**-128: c_i**2 R_i is an integer and
+    each cross root is isqrt(R_i R_j 2**256) / 2**128, which is exact iff its
+    square gives R_i R_j 2**256 back.  The numerators are summed as integers.
     """
-    live = [(c, r) for c, r in terms if c != 0 and r != 0]
-    for c, r in live:
+    for c, r in terms:
         if c < 0 or r < 0:
             raise ValueError("coefficients and radicands must be nonnegative")
-    total = Fraction(0)
+    live = [(c, r) for c, r in terms if c != 0 and r != 0]
+    shift = 2 * _SQRT_GUARD_BITS
+    num = 0
     exact = True
     for i, (ci, ri) in enumerate(live):
-        total += ci * ci * ri
+        ri_scaled = ri << shift
+        cross = 0
         for cj, rj in live[i + 1 :]:
-            root, ok = sqrt_as_fraction(ri * rj)
-            total += 2 * ci * cj * root
-            exact = exact and ok
-    return total, exact
+            x = ri_scaled * rj
+            root = math.isqrt(x)
+            cross += cj * root
+            exact = exact and root * root == x
+        num += (ci * ci * ri << _SQRT_GUARD_BITS) + 2 * ci * cross
+    return Fraction(num, 1 << _SQRT_GUARD_BITS), exact
 
 
 def logsumexp(values: Iterable[float]) -> float:

@@ -21,6 +21,7 @@ test suite through exact agreement with the general-d sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -85,12 +86,12 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     a certified relative error below 1e-15.
     """
     ProtocolParams(N, k, d)
+    # cached for this call only, so a process making many calls does not grow
+    radicand = functools.cache(lambda mu: ssyt_count(mu, d) * syt_count(mu))
     total = Fraction(0)
     all_exact = True
     for alpha in enumerate_diagrams(N - k, d):
-        terms = []
-        for mu, paths in add_boxes(alpha, k, d):
-            terms.append((paths, ssyt_count(mu, d) * syt_count(mu)))
+        terms = [(paths, radicand(mu)) for mu, paths in add_boxes(alpha, k, d)]
         block, ok = square_of_radical_sum(terms)
         total += block
         all_exact = all_exact and ok
@@ -104,13 +105,12 @@ def psucc_exact(N: int, k: int, d: int = 2) -> EvalResult:
         d**-N * sum_alpha m_alpha**2 * min_{mu in alpha} d_mu / m_mu
     """
     ProtocolParams(N, k, d)
+    # cached for this call only, like fidelity_exact's radicands
+    ratio = functools.cache(lambda mu: Fraction(syt_count(mu), ssyt_count(mu, d)))
     total = Fraction(0)
     for alpha in enumerate_diagrams(N - k, d):
         m_alpha = ssyt_count(alpha, d)
-        best = min(
-            Fraction(syt_count(mu), ssyt_count(mu, d))
-            for mu, _ in add_boxes(alpha, k, d)
-        )
+        best = min(ratio(mu) for mu, _ in add_boxes(alpha, k, d))
         total += m_alpha * m_alpha * best
     return _exact_result(total / Fraction(d) ** N, "schur-weyl-sum")
 
@@ -136,33 +136,54 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     ValueError where F falls below the smallest normal float.
     """
     ProtocolParams(N, k)
+    # spin_path_count(2s, 2j, k) = C(k, lo) - C(k, hi): lo lies in 0..k,
+    # C(k, hi) vanishes for hi > k, and lo + hi > k makes every count positive
     if resolve_arith(N, arith) == "exact":
+        choose_k = [math.comb(k, m) for m in range(k + 1)]
+        choose_n = [math.comb(N + 1, m) for m in range(N // 2 + 1)]
         total = Fraction(0)
         all_exact = True
         for two_s in _two_s_range(N, k):
             terms = []
             for two_j in _two_j_range(N, two_s, k):
-                coeff = spin_path_count(two_s, two_j, k) * (two_j + 1)
-                terms.append((coeff, binomial(N + 1, (N - two_j) // 2)))
+                lo = (two_s - two_j + k) // 2
+                hi = (two_s + two_j + k) // 2 + 1
+                h = choose_k[lo] - choose_k[hi] if hi <= k else choose_k[lo]
+                terms.append((h * (two_j + 1), choose_n[(N - two_j) // 2]))
             block, ok = square_of_radical_sum(terms)
             total += block
             all_exact = all_exact and ok
         value = total / (Fraction(2) ** (N + 2 * k) * (N + 1))
         return _exact_result(value, "angular-momentum", all_exact)
 
+    # ln C(k, m) from the exact integers up to k = 1000, beyond that from
+    # lgamma (C(k, k/2) overflows a float); ln(2j+1) and ln C(N+1, m) indexed
+    # by m = N/2 - j
+    if k <= 1000:
+        choose_k = [math.comb(k, m) for m in range(k + 1)]
+        ln_choose_k = [ln_int(c) for c in choose_k]
+    else:
+        ln_choose_k = [
+            math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
+            for m in range(k + 1)
+        ]
+    ln_weight = [math.log(N - 2 * m + 1) for m in range(N // 2 + 1)]
     ln_choose = _ln_binomial_table(N + 1, N // 2)
     outer = []
     for two_s in _two_s_range(N, k):
         inner = []
         for two_j in _two_j_range(N, two_s, k):
-            h = _ln_spin_path_count(two_s, two_j, k)
-            if h == -math.inf:
-                continue
-            inner.append(
-                h + math.log(two_j + 1) + 0.5 * ln_choose[(N - two_j) // 2]
-            )
-        if inner:
-            outer.append(2.0 * logsumexp(inner))
+            lo = (two_s - two_j + k) // 2
+            hi = (two_s + two_j + k) // 2 + 1
+            h = ln_choose_k[lo]
+            if hi <= k:
+                if k <= 1000:
+                    h = ln_int(choose_k[lo] - choose_k[hi])
+                else:
+                    h += math.log1p(-math.exp(ln_choose_k[hi] - h))
+            m = (N - two_j) // 2
+            inner.append(h + ln_weight[m] + 0.5 * ln_choose[m])
+        outer.append(2.0 * logsumexp(inner))
     ln_f = logsumexp(outer) - (N + 2 * k) * _LN2 - math.log(N + 1)
     return EvalResult(exp_normal(ln_f), None, "angular-momentum", "log", rel_err_bound=1e-10)
 
@@ -189,30 +210,6 @@ def psucc_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
         total += (N - k - 2 * m + 1) ** 2 * choose
         choose = choose * (N + 1 - m) // (m + 1)
     return _exact_result(Fraction(total, 2**N * (N + 1)), "angular-momentum")
-
-
-def _ln_spin_path_count(two_s: int, two_j: int, k: int) -> float:
-    """ln of spin_path_count, safe for k where C(k, k/2) overflows a float."""
-    if k <= 1000:
-        h = spin_path_count(two_s, two_j, k)
-        return ln_int(h) if h > 0 else -math.inf
-    lo = (two_s - two_j + k) // 2
-    hi = (two_s + two_j + k) // 2 + 1
-    if lo < 0 or lo > k:
-        return -math.inf
-    a = _ln_choose_scalar(k, lo)
-    if hi > k:
-        return a
-    b = _ln_choose_scalar(k, hi)
-    return a + math.log1p(-math.exp(b - a))
-
-
-def _ln_choose_scalar(n: int, m: int) -> float:
-    return (
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        if m >= 0 and m <= n
-        else -math.inf
-    )
 
 
 def _ln_binomial_table(n: int, max_m: int) -> list[float]:

@@ -28,6 +28,8 @@ GOLDEN = [
     ("fidelity --method qubit --N 20 --k 3 --arith log", 0, "20947dab00b363b843eb6f9d8161aa6415ede0b08e9d1796593ed09bd2aeb0d1"),
     ("fidelity --method qubit --N 301 --k 5", 0, "a3a252a8b21866276dc08e2aa2f901ad0f06955d4b57d43c7e19b9020eeaba7a"),
     ("fidelity --method qubit --N 301 --k 5 --format json", 0, "e06326c78ac6db54f581dc9db5c7ca48f3b7657bb59fa2b9904ead7a806625ee"),
+    ("fidelity --method qubit --arith log --N 1100 --k 1001", 0, "c6e7ef3ab9911362785d9c77bb1cd75b4ec6b5bd355dfbd79cf9a9d214ef68d7"),
+    ("fidelity --method qubit --arith exact --N 240 --k 6", 0, "6260a1f2a434d43717befbad10a76cd58eb8730cbba557a8455a0f008933989b"),
     ("fidelity --method bound-ratio --N 10 --k 3", 0, "95f6629c24216f7933947d5e4c13483a3bf61796494e302d0b9084fde790dae5"),
     ("fidelity --method bound-ratio --N 9 --k 2 --d 3", 0, "3bf9165b2a1f7254c55ebd768fe06d697430a051d13de0c1a861a9d79d93c418"),
     ("fidelity --method bound-product --N 10 --k 3", 0, "5a141de67f15549a01ab243e37aba9343fb0ca49fd535f3c82776297a8c2e03b"),
@@ -36,8 +38,8 @@ GOLDEN = [
     ("fidelity --method bound-bernoulli --N 9 --k 4 --d 3", 0, "62e1e8f8c6cb065759f6e01b5d9e82e1bba9e686ac8051a95a6fdfcae7ae4fed"),
     ("fidelity --method oracle --N 2 --k 1 --d 2", 0, "59ed3281af6cab24b1aa572be6197fee625d12b0d1d69787f1bd171400ffe1ce"),
     ("fidelity --method oracle --N 3 --k 1 --format json", 0, "dc79a59b9df16ccc87690fe5e868766dd5e2f211a2a879c2945213b0278744a5"),
-    ("psucc --scheme mpbt --N 10 --k 2", 0, "7810db0963b214d84accf69b4e5b13d38eb1a7fe72ce19916f9142b7f78fc6be"),
-    ("psucc --scheme mpbt --N 10 --k 2 --arith exact", 0, "7810db0963b214d84accf69b4e5b13d38eb1a7fe72ce19916f9142b7f78fc6be"),
+    ("psucc --scheme mpbt --N 10 --k 2", 0, "ca3194de8d2e7420e9e02fa3e58fd593e76219ec6bcc200e3e2b92ae41211153"),
+    ("psucc --scheme mpbt --N 10 --k 2 --arith exact", 0, "ca3194de8d2e7420e9e02fa3e58fd593e76219ec6bcc200e3e2b92ae41211153"),
     ("psucc --scheme mpbt --N 10 --k 2 --arith log", 0, "903e98d6be298caf03400a37bf6fe8eb4b386594f51bc80d91c50572e28e3e98"),
     ("psucc --scheme mpbt --N 301 --k 5", 0, "6ff3994205135e9cc547a9f7598fc5e363363b2c752ced6d3048cd3dd0c12701"),
     ("psucc --scheme mpbt --N 8 --k 2 --d 3", 0, "50cc8c1bd44dc4b6ba8958b82dc61b0b2c031bc22bcf23f9915b67de91583e58"),

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from portcap.exactmath import (
     binomial,
@@ -13,6 +13,29 @@ from portcap.exactmath import (
     logsumexp,
     sqrt_as_fraction,
     square_of_radical_sum,
+)
+
+
+def reference_square_of_radical_sum(terms):
+    """The running-Fraction form of square_of_radical_sum: one
+    sqrt_as_fraction and one Fraction addition per cross term."""
+    live = [(c, r) for c, r in terms if c != 0 and r != 0]
+    total = Fraction(0)
+    exact = True
+    for i, (ci, ri) in enumerate(live):
+        total += ci * ci * ri
+        for cj, rj in live[i + 1 :]:
+            root, ok = sqrt_as_fraction(ri * rj)
+            total += 2 * ci * cj * root
+            exact = exact and ok
+    return total, exact
+
+
+# radicands q*s**2 with squarefree q make R_i*R_j a perfect square whenever
+# the two share q
+_radicands = st.one_of(
+    st.integers(0, 2**200),
+    st.builds(lambda q, s: q * s * s, st.sampled_from([1, 2, 3, 6]), st.integers(0, 2**100)),
 )
 
 
@@ -91,6 +114,17 @@ class TestRadicals:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             square_of_radical_sum([(-1, 2)])
+
+    @pytest.mark.parametrize("terms", [[(-1, 0)], [(0, -3)], [(2, 9), (-5, 0)]])
+    def test_rejects_negative_in_terms_that_vanish(self, terms):
+        with pytest.raises(ValueError):
+            square_of_radical_sum(terms)
+
+    @given(st.lists(st.tuples(st.integers(0, 2**64), _radicands), max_size=8))
+    @example([(3, 8), (5, 18), (0, 7), (2, 0)])
+    @example([(1, 2), (1, 3), (4, 12)])
+    def test_matches_fraction_sum_reference(self, terms):
+        assert square_of_radical_sum(terms) == reference_square_of_radical_sum(terms)
 
     @given(
         st.lists(

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from portcap.exactmath import ln_int, logsumexp
 from portcap.performance import (
+    _ln_binomial_table,
     fidelity_exact,
     fidelity_qubit,
     psucc_exact,
@@ -13,6 +15,42 @@ from portcap.performance import (
     spin_path_count,
 )
 from portcap.tableaux import skew_count_two_row
+
+
+def reference_fidelity_log(N, k):
+    """fidelity_qubit's log branch as a per-term loop: the path count and its
+    log (lgamma beyond k = 1000) recomputed for every (s, j) term."""
+
+    def ln_choose(n, m):
+        if 0 <= m <= n:
+            return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        return -math.inf
+
+    def ln_paths(two_s, two_j):
+        if k <= 1000:
+            h = spin_path_count(two_s, two_j, k)
+            return ln_int(h) if h > 0 else -math.inf
+        lo = (two_s - two_j + k) // 2
+        hi = (two_s + two_j + k) // 2 + 1
+        if lo < 0 or lo > k:
+            return -math.inf
+        a = ln_choose(k, lo)
+        if hi > k:
+            return a
+        return a + math.log1p(-math.exp(ln_choose(k, hi) - a))
+
+    ln_table = _ln_binomial_table(N + 1, N // 2)
+    outer = []
+    for two_s in range((N - k) % 2, N - k + 1, 2):
+        inner = []
+        for two_j in range(max(N % 2, two_s - k), two_s + k + 1, 2):
+            h = ln_paths(two_s, two_j)
+            if h == -math.inf:
+                continue
+            inner.append(h + math.log(two_j + 1) + 0.5 * ln_table[(N - two_j) // 2])
+        if inner:
+            outer.append(2.0 * logsumexp(inner))
+    return math.exp(logsumexp(outer) - (N + 2 * k) * math.log(2.0) - math.log(N + 1))
 
 
 class TestSpinPathCount:
@@ -131,6 +169,22 @@ class TestQubitClosedForms:
                 res = fidelity_qubit(N, k, arith="log")
                 assert math.isclose(exact, res.value, rel_tol=1e-10), (N, k)
                 assert abs(res.value - exact) <= res.rel_err_bound * exact, (N, k)
+
+    def test_log_path_within_its_bound_beyond_the_window(self):
+        exact = fidelity_qubit(1000, 10, arith="exact").value
+        res = fidelity_qubit(1000, 10, arith="log")
+        assert abs(res.value - exact) <= res.rel_err_bound * exact
+
+    @pytest.mark.parametrize("N,k", [(1000, 250), (20000, 141), (1100, 1001)])
+    def test_log_path_is_bit_identical_to_the_per_term_loop(self, N, k):
+        assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+
+    def test_log_path_is_bit_identical_to_the_per_term_loop_at_small_n(self):
+        # ln F is rounded to the size of its largest block, about N ln 2, which
+        # hides a last-place change in one term at large N but not at small N
+        for N in range(1, 65):
+            for k in range(1, N + 1):
+                assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
 
     def test_psucc_log_path_within_its_bound_on_overlap_window(self):
         for N in range(40, 201, 16):
