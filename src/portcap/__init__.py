@@ -34,7 +34,6 @@ from .performance import (
     fidelity_qubit,
     psucc_exact,
     psucc_qubit,
-    spin_path_count,
 )
 from .protocols import (
     Figure,
@@ -115,7 +114,6 @@ __all__ = [
     "sandwich_k",
     "signal_pair_trace_raw",
     "skew_count_two_row",
-    "spin_path_count",
     "srm_fidelity",
     "srm_pdist",
     "ssyt_count",

@@ -43,8 +43,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# str(int) refuses integers above sys.get_int_max_str_digits() digits (4300
+# by default, never below 640), which exact rationals pass near N = 14300.
+# Chunks of 600 digits stay under every setting of that limit.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of a nonnegative integer of any size."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _fmt_exact(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def _emit_records(

@@ -57,18 +57,6 @@ def ln_int(x: int) -> float:
     return math.log(x >> shift) + shift * _LN2
 
 
-def sqrt_as_fraction(x: int) -> tuple[Fraction, bool]:
-    """sqrt(x) as a rational: exact when x is a perfect square, else a dyadic
-    approximation with relative error <= 2**-128 (flagged False)."""
-    if x < 0:
-        raise ValueError(f"radicand must be nonnegative, got {x}")
-    root = math.isqrt(x)
-    if root * root == x:
-        return Fraction(root), True
-    scaled = math.isqrt(x << (2 * _SQRT_GUARD_BITS))
-    return Fraction(scaled, 1 << _SQRT_GUARD_BITS), False
-
-
 def square_of_radical_sum(terms: Sequence[tuple[int, int]]) -> tuple[Fraction, bool]:
     """(sum_i c_i * sqrt(R_i))**2 for nonnegative integer coefficients and radicands.
 

@@ -7,10 +7,16 @@ Entanglement fidelity and success probability come in two equivalent forms:
 
       F = d**-(N+2k) * sum_alpha ( sum_mu m_{mu/alpha} * sqrt(m_mu d_mu) )**2
       p = d**-N      * sum_alpha m_alpha**2 * min_mu (d_mu / m_mu)
+        = d**-N * N!/(N-k)! * sum_alpha m_alpha d_alpha / prod_{t<k} (d + alpha_1 + t)
+
+  where the second form of p follows from the hook-content formula
+  d_mu / m_mu = N! / prod_{box in mu} (d + c(box)), c the box's content
+  (column minus row): the minimum over mu is reached by adding all k boxes
+  to the first row of alpha;
 
 * and, for qubits, closed angular-momentum forms where a two-row diagram with
-  row difference 2j is the spin-j sector and ``spin_path_count`` plays the
-  role of m_{mu/alpha}.
+  row difference 2j is the spin-j sector and the spin-coupling count
+  C(k, s - j + k/2) - C(k, s + j + k/2 + 1) plays the role of m_{mu/alpha}.
 
 Two easy-to-misplace normalization factors in the qubit forms matter: the
 fidelity carries 1/(N+1) outside the squared sum (only sqrt(N+1) goes
@@ -27,7 +33,7 @@ from fractions import Fraction
 
 from .asymptotics import psucc_largeN
 from .core import EvalResult, ProtocolParams
-from .exactmath import binomial, exp_normal, ln_int, logsumexp, square_of_radical_sum
+from .exactmath import exp_normal, ln_int, logsumexp, square_of_radical_sum
 from .tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
 
 # Default switch from exact rationals to the log-space float path.
@@ -56,26 +62,6 @@ def _exact_result(value: Fraction, method: str, is_rational: bool = True) -> Eva
     return EvalResult(float(value), value if is_rational else None, method, "exact", 2.0**-52)
 
 
-def spin_path_count(two_s: int, two_j: int, k: int) -> int:
-    """Number of ways to couple k further spin-1/2 systems so that total spin
-    s (of N-k systems) becomes total spin j (of N systems):
-
-        C(k, s - j + k/2) - C(k, s + j + k/2 + 1)
-
-    Spins are passed doubled (two_s = 2s), so all parity logic stays integer.
-    Out-of-range binomials vanish, making the count total.
-    """
-    if two_s < 0 or two_j < 0:
-        raise ValueError("doubled spins must be nonnegative")
-    if (two_s + two_j + k) % 2:
-        raise ValueError(
-            f"parity mismatch: 2s={two_s}, 2j={two_j} unreachable with k={k} added spins"
-        )
-    lo = (two_s - two_j + k) // 2
-    hi = (two_s + two_j + k) // 2 + 1
-    return binomial(k, lo) - binomial(k, hi)
-
-
 def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     """Entanglement fidelity of teleporting k qudits through N ports with the
     square-root measurement, as the Schur-Weyl diagram sum.
@@ -86,8 +72,24 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     a certified relative error below 1e-15.
     """
     ProtocolParams(N, k, d)
-    # cached for this call only, so a process making many calls does not grow
-    radicand = functools.cache(lambda mu: ssyt_count(mu, d) * syt_count(mu))
+    # Over d rows padded with zeros, l_i = mu_i + d - i and
+    # V = prod_{i<j} (l_i - l_j) give both the Weyl form
+    # m_mu = V / prod_{i<j} (j - i) and Frobenius' d_mu = N! V / prod_i l_i!,
+    # so the radicand m_mu d_mu costs one pass over the rows.
+    weyl_den = math.prod(math.factorial(i) for i in range(d))
+    n_fact = math.factorial(N)
+
+    @functools.cache  # for this call only, so a process making many calls does not grow
+    def radicand(mu):
+        ell = [row + d - i for i, row in enumerate(mu, 1)]
+        ell += range(d - len(mu) - 1, -1, -1)
+        vandermonde, den = 1, weyl_den
+        for i, li in enumerate(ell):
+            den *= math.factorial(li)
+            for lj in ell[i + 1 :]:
+                vandermonde *= li - lj
+        return n_fact * vandermonde * vandermonde // den
+
     total = Fraction(0)
     all_exact = True
     for alpha in enumerate_diagrams(N - k, d):
@@ -103,16 +105,26 @@ def psucc_exact(N: int, k: int, d: int = 2) -> EvalResult:
     entangled resource, optimal failure branch), as an exact rational:
 
         d**-N * sum_alpha m_alpha**2 * min_{mu in alpha} d_mu / m_mu
+          = d**-N * N!/(N-k)! * sum_alpha m_alpha d_alpha / prod_{t<k} (d + alpha_1 + t)
+
+    By the hook-content formula (Stanley, Enumerative Combinatorics 2,
+    Cor. 7.21.4), d_mu / m_mu = N! / prod_{box in mu} (d + c(box)), where
+    every factor is positive since mu has at most d rows.  The t-th largest
+    content among k boxes added to alpha is at most alpha_1 + k - t, and
+    adding all k to the first row attains that bound for every t, so that mu
+    is the minimum.
     """
     ProtocolParams(N, k, d)
-    # cached for this call only, like fidelity_exact's radicands
-    ratio = functools.cache(lambda mu: Fraction(syt_count(mu), ssyt_count(mu, d)))
-    total = Fraction(0)
+    # Blocks sharing alpha_1 share the rising product, and each rising
+    # product divides D = prod_{t<N} (d + t) since alpha_1 <= N - k: sum the
+    # integer numerators over D.
+    weight: dict[int, int] = {}
     for alpha in enumerate_diagrams(N - k, d):
-        m_alpha = ssyt_count(alpha, d)
-        best = min(ratio(mu) for mu, _ in add_boxes(alpha, k, d))
-        total += m_alpha * m_alpha * best
-    return _exact_result(total / Fraction(d) ** N, "schur-weyl-sum")
+        a = alpha[0] if alpha else 0
+        weight[a] = weight.get(a, 0) + ssyt_count(alpha, d) * syt_count(alpha)
+    full = math.prod(range(d, d + N))
+    num = sum(w * (full // math.prod(range(d + a, d + a + k))) for a, w in weight.items())
+    return _exact_result(Fraction(num * math.perm(N, k), d**N * full), "schur-weyl-sum")
 
 
 def _two_s_range(N: int, k: int) -> range:
@@ -127,16 +139,18 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     """Qubit entanglement fidelity in the angular-momentum form:
 
         F = 2**-(N+2k) / (N+1) *
-            sum_s ( sum_j spin_path_count(2s,2j,k) * (2j+1) * sqrt(C(N+1, N/2-j)) )**2
+            sum_s ( sum_j h(s,j) * (2j+1) * sqrt(C(N+1, N/2-j)) )**2
 
-    with s over the spins of N-k qubits and j over the spins reachable by
-    coupling k more.  Agrees with ``fidelity_exact(N, k, 2)`` to full float
-    precision; ``arith`` selects the exact-rational path ("exact", default for
-    N <= 200) or the overflow-safe log-space path ("log"), which raises
-    ValueError where F falls below the smallest normal float.
+    with s over the spins of N-k qubits, j over the spins reachable by
+    coupling k more, and h(s,j) = C(k, s-j+k/2) - C(k, s+j+k/2+1) the number
+    of ways that coupling reaches j (zero out of range).  Agrees with
+    ``fidelity_exact(N, k, 2)`` to full float precision; ``arith`` selects
+    the exact-rational path ("exact", default for N <= 200) or the
+    overflow-safe log-space path ("log"), which raises ValueError where F
+    falls below the smallest normal float.
     """
     ProtocolParams(N, k)
-    # spin_path_count(2s, 2j, k) = C(k, lo) - C(k, hi): lo lies in 0..k,
+    # h(s, j) = C(k, lo) - C(k, hi): lo lies in 0..k,
     # C(k, hi) vanishes for hi > k, and lo + hi > k makes every count positive
     if resolve_arith(N, arith) == "exact":
         choose_k = [math.comb(k, m) for m in range(k + 1)]

@@ -4,6 +4,7 @@ formula implementations."""
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def count_syt_brute(shape: tuple[int, ...]) -> int:
@@ -31,6 +32,16 @@ def count_syt_brute(shape: tuple[int, ...]) -> int:
         return total
 
     return place(1)
+
+
+def syt_count_hook(shape: tuple[int, ...]) -> int:
+    """Standard fillings by the hook-length formula, n! / prod of hook lengths."""
+    cols = [sum(1 for row in shape if row > j) for j in range(shape[0])] if shape else []
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return math.factorial(sum(shape)) // hooks
 
 
 def count_ssyt_brute(shape: tuple[int, ...], d: int) -> int:

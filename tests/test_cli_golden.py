@@ -14,15 +14,19 @@ import argparse
 import contextlib
 import hashlib
 import io
+import sys
+from fractions import Fraction
 
 import pytest
 
 from portcap.cli import build_parser, main
+from portcap.performance import psucc_qubit
 
 GOLDEN = [
     ("fidelity --method exact --N 5 --k 2", 0, "157ab4532d7e44f95e52199df72e9f9b4fa9131b860de435f645c60aa6253685"),
     ("fidelity --method exact --N 6 --k 2 --d 3", 0, "f0302015914f898f3b3908be29a009c1fdaa90f4e27a9b5c9f007802bd80754f"),
     ("fidelity --method exact --N 6 --k 2 --d 3 --format json", 0, "cd77322b50bec14b7b874d2711253e7e9bd426cdd96b3bef0cd755850babd08b"),
+    ("fidelity --method exact --N 40 --k 8 --d 3", 0, "0640ef10cf1df7f2c4cdfd7fe10eddfc879dccff06d9f9bdf04a3f065ef85bf5"),
     ("fidelity --method qubit --N 20 --k 3", 0, "3cca61cb5c8a36a3ea82f23d1d08bdaf4224e5ad3456b72aaa9ba1a6da5e506c"),
     ("fidelity --method qubit --N 20 --k 3 --arith exact", 0, "3cca61cb5c8a36a3ea82f23d1d08bdaf4224e5ad3456b72aaa9ba1a6da5e506c"),
     ("fidelity --method qubit --N 20 --k 3 --arith log", 0, "20947dab00b363b843eb6f9d8161aa6415ede0b08e9d1796593ed09bd2aeb0d1"),
@@ -46,6 +50,9 @@ GOLDEN = [
     ("psucc --scheme mpbt --N 8 --k 2 --d 3 --format json", 0, "e2c911d0a68bb31bdc0fb13e7df11446420b3f70548ec16e7a6b66378ca766c7"),
     ("psucc --scheme mpbt --N 201 --k 1 --d 3", 0, "771725a52e61a1cb66085e1d4a04478f183e37462e91256dedfa51ffc1b018e6"),
     ("psucc --scheme mpbt --N 201 --k 1 --d 3 --arith exact", 0, "771725a52e61a1cb66085e1d4a04478f183e37462e91256dedfa51ffc1b018e6"),
+    ("psucc --scheme mpbt --N 300 --k 1 --d 3", 0, "554c4dcb0052ea606c60ad24b48910dd70aabe43dc966c0caf6c3a7b4f159f24"),
+    ("psucc --scheme mpbt --N 30 --k 6 --d 4", 0, "6625ecccfbf29d334f7b113349968aff6aa077441910c1d086879b898051d24d"),
+    ("psucc --N 30000 --k 2 --arith exact", 0, "7c336de592813bfa64d7977e8477b6e8b896b0a0c340dbea99e15a4afd6d5934"),
     ("psucc --scheme ompbt --N 10 --k 3", 0, "0e43cab624fc9671df49e475afd574f439b93327267286027276b05f992022fc"),
     ("psucc --scheme ompbt --N 10 --k 3 --d 3", 0, "63df38e7897b097b14d43210d7e9c77954f80288a676dae06ee03dac16470a7b"),
     ("psucc --scheme ompbt --N 3 --k 5", 0, "346f24ce5f1371f7517952ac6c779d4920bb037e5f784b470e39f504f6c466da"),
@@ -132,6 +139,25 @@ def test_auto_arith_takes_the_exact_path_without_a_log_path():
     shas = {command: sha for command, _, sha in GOLDEN}
     command = "psucc --scheme mpbt --N 201 --k 1 --d 3"
     assert shas[command] == shas[command + " --arith exact"]
+
+
+def test_exact_rationals_print_beyond_the_int_digit_limit():
+    # p = num/den with a denominator of about 9000 digits, past the 4300-digit
+    # default limit of str(int); the limit must be left as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, stdout = run("psucc --N 30000 --k 2 --arith exact".split())
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def parse(digits):
+        value = 0
+        for i in range(0, len(digits), 500):
+            chunk = digits[i : i + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return value
+
+    num, den = stdout.splitlines()[1].split(",")[6].split("/")
+    assert code == 0 and len(den) > 4300
+    assert Fraction(parse(num), parse(den)) == psucc_qubit(30000, 2, "exact").exact
 
 
 def test_every_method_and_scheme_is_covered():

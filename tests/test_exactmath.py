@@ -11,9 +11,19 @@ from portcap.exactmath import (
     falling_factorial,
     ln_int,
     logsumexp,
-    sqrt_as_fraction,
     square_of_radical_sum,
 )
+
+
+def sqrt_as_fraction(x):
+    """sqrt(x) as a rational: exact when x is a perfect square, else a dyadic
+    approximation with relative error <= 2**-128 (flagged False)."""
+    if x < 0:
+        raise ValueError(f"radicand must be nonnegative, got {x}")
+    root = math.isqrt(x)
+    if root * root == x:
+        return Fraction(root), True
+    return Fraction(math.isqrt(x << 256), 1 << 128), False
 
 
 def reference_square_of_radical_sum(terms):

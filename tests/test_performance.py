@@ -4,17 +4,77 @@ from fractions import Fraction
 
 import pytest
 
-from portcap.exactmath import ln_int, logsumexp
+from conftest import syt_count_hook
+from portcap.exactmath import binomial, ln_int, logsumexp, square_of_radical_sum
 from portcap.performance import (
+    _exact_result,
     _ln_binomial_table,
     fidelity_exact,
     fidelity_qubit,
     psucc_exact,
     psucc_qubit,
     resolve_arith,
-    spin_path_count,
 )
-from portcap.tableaux import skew_count_two_row
+from portcap.tableaux import add_boxes, enumerate_diagrams, skew_count_two_row, ssyt_count
+
+
+def spin_path_count(two_s, two_j, k):
+    """Number of ways to couple k further spin-1/2 systems so that total spin
+    s (of N-k systems) becomes total spin j (of N systems):
+
+        C(k, s - j + k/2) - C(k, s + j + k/2 + 1)
+
+    Spins are passed doubled (two_s = 2s), so all parity logic stays integer.
+    Out-of-range binomials vanish, making the count total.
+    """
+    if two_s < 0 or two_j < 0:
+        raise ValueError("doubled spins must be nonnegative")
+    if (two_s + two_j + k) % 2:
+        raise ValueError(
+            f"parity mismatch: 2s={two_s}, 2j={two_j} unreachable with k={k} added spins"
+        )
+    lo = (two_s - two_j + k) // 2
+    hi = (two_s + two_j + k) // 2 + 1
+    return binomial(k, lo) - binomial(k, hi)
+
+
+def reference_psucc_exact(N, k, d):
+    """psucc_exact as the literal Schur-Weyl sum: for each alpha, the minimum
+    of d_mu / m_mu over every diagram mu that add_boxes reaches, with d_mu by
+    the hook-length formula."""
+    total = Fraction(0)
+    for alpha in enumerate_diagrams(N - k, d):
+        m_alpha = ssyt_count(alpha, d)
+        best = min(Fraction(syt_count_hook(mu), ssyt_count(mu, d))
+                   for mu, _ in add_boxes(alpha, k, d))
+        total += m_alpha * m_alpha * best
+    return _exact_result(total / Fraction(d) ** N, "schur-weyl-sum")
+
+
+def reference_fidelity_exact(N, k, d):
+    """fidelity_exact with the radicand m_mu d_mu taken from the Weyl
+    dimension and the hook-length formula."""
+    total = Fraction(0)
+    all_exact = True
+    for alpha in enumerate_diagrams(N - k, d):
+        terms = [(paths, ssyt_count(mu, d) * syt_count_hook(mu))
+                 for mu, paths in add_boxes(alpha, k, d)]
+        block, ok = square_of_radical_sum(terms)
+        total += block
+        all_exact = all_exact and ok
+    return _exact_result(total / Fraction(d) ** (N + 2 * k), "schur-weyl-sum", all_exact)
+
+
+def small_grid():
+    """Every (N, k, d) with d = 2..5, N <= 14 at d <= 3 and N <= 10 above."""
+    for d in range(2, 6):
+        for N in range(1, (14 if d <= 3 else 10) + 1):
+            for k in range(1, N + 1):
+                yield N, k, d
+
+
+# the (N, k, d) of the benchmark's qudit-exact invocations
+QUDIT_EXACT_POINTS = [(80, 4, 3), (40, 8, 3), (24, 4, 4), (30, 6, 4)]
 
 
 def reference_fidelity_log(N, k):
@@ -122,7 +182,36 @@ class TestFidelityExact:
                 prev[d] = val
 
 
+class TestAgainstReferenceSums:
+    """The closed and one-pass forms against the sums they replace: the same
+    float, the same reduced Fraction and the same exact flag."""
+
+    def test_psucc_on_small_grid(self):
+        for N, k, d in small_grid():
+            assert psucc_exact(N, k, d) == reference_psucc_exact(N, k, d), (N, k, d)
+
+    def test_fidelity_on_small_grid(self):
+        for N, k, d in small_grid():
+            assert fidelity_exact(N, k, d) == reference_fidelity_exact(N, k, d), (N, k, d)
+
+    @pytest.mark.parametrize("N,k,d", QUDIT_EXACT_POINTS)
+    def test_qudit_exact_points(self, N, k, d):
+        assert psucc_exact(N, k, d) == reference_psucc_exact(N, k, d)
+        assert fidelity_exact(N, k, d) == reference_fidelity_exact(N, k, d)
+
+    @pytest.mark.parametrize("N", [100, 201])
+    def test_psucc_single_qutrit_at_large_n(self, N):
+        assert psucc_exact(N, 1, 3) == reference_psucc_exact(N, 1, 3)
+
+
 class TestPsuccExact:
+    def test_closed_form_grows_no_diagrams(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("psucc_exact called add_boxes")
+
+        monkeypatch.setattr("portcap.performance.add_boxes", refuse)
+        assert psucc_exact(12, 3, 3) == reference_psucc_exact(12, 3, 3)
+
     def test_known_small_values(self):
         assert psucc_exact(1, 1, 2).exact == Fraction(1, 4)
         assert psucc_exact(1, 1, 3).exact == Fraction(1, 9)

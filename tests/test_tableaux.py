@@ -1,7 +1,10 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_ssyt_brute, count_syt_brute, growth_paths_brute
+from conftest import count_ssyt_brute, count_syt_brute, growth_paths_brute, syt_count_hook
 from portcap.tableaux import (
     add_boxes,
     add_one_box,
@@ -76,6 +79,12 @@ class TestCounts:
     def test_ssyt_weyl_formula_vs_enumeration(self, mu, d):
         assert ssyt_count(mu, d) == count_ssyt_brute(mu, d)
 
+    def test_syt_matches_hook_length_product_on_large_shapes(self):
+        shapes = enumerate_diagrams(40, 4) + enumerate_diagrams(14, 14)
+        shapes += [(300, 200, 100), (120, 120, 7, 7, 1), (1,) * 60, (9,) * 9]
+        for mu in shapes:
+            assert syt_count(mu) == syt_count_hook(mu), mu
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_schur_weyl_dimension_count(self, d):
         # sum over diagrams of multiplicity * irrep dimension fills d**n
@@ -84,6 +93,33 @@ class TestCounts:
                 ssyt_count(mu, d) * syt_count(mu) for mu in enumerate_diagrams(n, d)
             )
             assert total == d**n
+
+
+def contents(mu):
+    """Contents (column minus row) of the boxes of mu."""
+    return [j - i for i, row in enumerate(mu) for j in range(row)]
+
+
+class TestHookContent:
+    """d_mu / m_mu = n! / prod_{box} (d + c(box)), the identity behind
+    psucc_exact's closed form, and the minimizer it implies."""
+
+    def test_ratio_on_every_diagram_up_to_12_boxes(self):
+        for n in range(13):
+            for d in range(2, 7):
+                for mu in enumerate_diagrams(n, d):
+                    expected = Fraction(math.factorial(n), math.prod(d + c for c in contents(mu)))
+                    assert Fraction(syt_count(mu), ssyt_count(mu, d)) == expected, (mu, d)
+
+    def test_first_row_extension_minimizes_every_block(self):
+        for d in range(2, 6):
+            for n in range(10):
+                for alpha in enumerate_diagrams(n, d):
+                    for k in range(1, 6):
+                        ratios = {mu: Fraction(syt_count(mu), ssyt_count(mu, d))
+                                  for mu, _ in add_boxes(alpha, k, d)}
+                        top = ((alpha[0] if alpha else 0) + k, *alpha[1:])
+                        assert ratios[top] == min(ratios.values()), (alpha, k, d)
 
 
 class TestBoxAddition:
