@@ -28,7 +28,7 @@ from .bounds import (
     trace_rho_squared,
 )
 from .core import EvalResult, ProtocolParams
-from .exactmath import binomial, falling_factorial
+from .exactmath import binomial
 from .performance import (
     fidelity_exact,
     fidelity_qubit,
@@ -60,7 +60,6 @@ from .simulate import (
 from .tableaux import (
     Diagram,
     add_boxes,
-    add_one_box,
     as_diagram,
     enumerate_diagrams,
     skew_count_two_row,
@@ -79,7 +78,6 @@ __all__ = [
     "ScalingSpec",
     "SchemeId",
     "add_boxes",
-    "add_one_box",
     "all_port_tuples",
     "as_diagram",
     "binomial",
@@ -88,7 +86,6 @@ __all__ = [
     "critical_limit",
     "Diagram",
     "enumerate_diagrams",
-    "falling_factorial",
     "fidelity_bound_bernoulli",
     "fidelity_bound_product",
     "fidelity_bound_ratio",

@@ -20,11 +20,12 @@ t-th teleported system.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .core import ProtocolParams
-from .exactmath import binomial, falling_factorial
+from .exactmath import binomial
 
 
 def trace_rho_squared(n: int, k: int, d: int) -> int:
@@ -37,8 +38,8 @@ def trace_rho_squared(n: int, k: int, d: int) -> int:
     ProtocolParams(N, k, d).require_bound_scope()
     return (
         d ** (N - k)
-        * falling_factorial(N, k)
-        * falling_factorial(d * d + N - 1, k)
+        * math.perm(N, k)
+        * math.perm(d * d + N - 1, k)
     )
 
 
@@ -58,7 +59,7 @@ def pdist_lower(N: int, k: int, d: int) -> Fraction:
     F = k!C(N,k)/d^(2k) * p_dist it reproduces ``fidelity_bound_ratio``.
     """
     ProtocolParams(N, k, d).require_bound_scope()
-    signals = falling_factorial(N, k)
+    signals = math.perm(N, k)
     return 1 / (d ** (N - k) * signals * trace_rho_bar_squared(N, k, d))
 
 

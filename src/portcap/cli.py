@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -311,13 +312,10 @@ def _verify_checks(max_dim: int):
     for p in instances:
         # the dense pipeline (signal sum, eigensolve, per-outcome traces) is
         # the expensive part; compute it once per instance, checks share it
-        cache: dict[str, object] = {}
-
-        def pipeline(p=p, cache=cache):
-            if "traces" not in cache:
-                cache["rho"] = simulate.signal_sum(p)
-                cache["traces"] = simulate.srm_signal_traces(p, rho=cache["rho"])
-            return cache["rho"], cache["traces"]
+        @functools.cache
+        def pipeline(p=p):
+            rho = simulate.signal_sum(p)
+            return rho, simulate.srm_signal_traces(p, rho=rho)
 
         def purity(p=p, pipeline=pipeline) -> bool:
             rho, _ = pipeline()

@@ -38,15 +38,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """n * (n-1) * ... * (n-k+1), i.e. n!/(n-k)!. Requires 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        raise ValueError(f"falling_factorial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.perm(n, k)
-
-
 def ln_int(x: int) -> float:
     """Natural log of a positive integer, accurate to a few ulp at any size."""
     if x <= 0:

@@ -25,7 +25,6 @@ from typing import Callable
 
 from .asymptotics import gaussian_limit, psucc_largeN
 from .bounds import fidelity_bound_product
-from .performance import fidelity_qubit
 
 PBT_PSUCC_COEFF = math.sqrt(8.0 / math.pi)
 
@@ -88,23 +87,13 @@ def opbt_fidelity(N: int) -> float:
     return math.cos(math.pi / (N + 2)) ** 2
 
 
-def packaged_fidelity(N: int, k: int, base: str = "opbt") -> float:
-    """Fidelity of k independent single-port protocols sharing N ports.
-
-    ``base`` selects the per-package protocol.  "opbt" gives each package the
-    real port count N/k, cos(pi/(N/k + 2))**(2k), which is how the packaged
-    curves are drawn; N/k need not be an integer.  "pbt" uses the exact
-    non-optimal qubit fidelity of N/k ports and requires k | N.
-    """
+def packaged_fidelity(N: int, k: int) -> float:
+    """Fidelity of k independent optimal single-port protocols sharing N
+    ports, cos(pi/(N/k + 2))**(2k): each package gets the real port count
+    N/k, which need not be an integer, as the packaged curves are drawn."""
     if k < 1 or N < 1:
         raise ValueError(f"require N, k >= 1, got N={N}, k={k}")
-    if base == "opbt":
-        return math.cos(math.pi / (N / k + 2.0)) ** (2 * k)
-    if base == "pbt":
-        if N % k:
-            raise ValueError(f"packaged pbt requires k | N, got N={N}, k={k}")
-        return fidelity_qubit(N // k, 1).value ** k
-    raise ValueError(f"base must be 'pbt' or 'opbt', got {base!r}")
+    return math.cos(math.pi / (N / k + 2.0)) ** (2 * k)
 
 
 def packaged_fidelity_approx(N: int, k: int) -> float:
@@ -151,65 +140,95 @@ def psucc_baselines(N: int, which: str) -> float:
     raise ValueError(f"which must be 'pbt-approx' or 'opbt', got {which!r}")
 
 
-# (scheme, figure) -> critical exponent
-_ALPHA_CR: dict[tuple[SchemeId, Figure], float] = {
-    (SchemeId.PACK_PBT, Figure.FIDELITY): 0.5,
-    (SchemeId.PACK_OPBT, Figure.FIDELITY): 2.0 / 3.0,
-    (SchemeId.MPBT_BOUND, Figure.FIDELITY): 1.0,
-    (SchemeId.PACK_PBT, Figure.PSUCC): 1.0 / 3.0,
-    (SchemeId.PACK_OPBT, Figure.PSUCC): 0.5,
-    (SchemeId.MPBT_EXACT, Figure.PSUCC): 0.5,
-    (SchemeId.OMPBT, Figure.PSUCC): 1.0,
-}
-
-
 def _packaged_psucc(per_package: float, k: int) -> float:
     return per_package**k if per_package > 0 else 0.0
 
 
-# (scheme, figure) -> finite-N value at (N, k, d); the curves critical_limit classifies
-_MODEL: dict[tuple[SchemeId, Figure], Callable[[int, int, int], float]] = {
-    (SchemeId.PACK_PBT, Figure.FIDELITY): lambda N, k, d: packaged_fidelity_approx(N, k),
-    (SchemeId.PACK_OPBT, Figure.FIDELITY): lambda N, k, d: packaged_fidelity(N, k, "opbt"),
-    (SchemeId.MPBT_BOUND, Figure.FIDELITY): lambda N, k, d: float(
-        fidelity_bound_product(N, k, d)
+def _bound_limit(a: float, d: int) -> float:
+    if a >= 1:
+        raise ValueError("mpbt-bound limit at alpha = 1 requires a < 1")
+    return math.exp(-(d * d - 1) * a / (1.0 - a))
+
+
+def _ompbt_limit(a: float, d: int) -> float:
+    # the product formula tends to (1-a)^(d^2-1) along k = aN
+    if a > 1:
+        raise ValueError("ompbt limit at alpha = 1 requires a <= 1")
+    return (1.0 - a) ** (d * d - 1)
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """One (scheme, figure) row of the comparison."""
+
+    alpha_cr: float
+    limit: Callable[[float, int], float]  # the constant at alpha_cr, of (a, d)
+    value: Callable[[int, int, int], float]  # the finite-N value at (N, k, d)
+    general_d: bool = False  # False: qubits only (d = 2)
+    zero_above: bool = True  # False: the scaling law is undefined above alpha_cr
+
+
+_CURVES: dict[tuple[SchemeId, Figure], _Curve] = {
+    (SchemeId.PACK_PBT, Figure.FIDELITY): _Curve(
+        0.5, lambda a, d: math.exp(-0.75 * a * a), lambda N, k, d: packaged_fidelity_approx(N, k)
     ),
-    (SchemeId.PACK_PBT, Figure.PSUCC): lambda N, k, d: _packaged_psucc(
-        1.0 - PBT_PSUCC_COEFF / math.sqrt(N / k), k
+    (SchemeId.PACK_OPBT, Figure.FIDELITY): _Curve(
+        2.0 / 3.0, lambda a, d: math.exp(-math.pi * math.pi * a**3),
+        lambda N, k, d: packaged_fidelity(N, k),
     ),
-    (SchemeId.PACK_OPBT, Figure.PSUCC): lambda N, k, d: _packaged_psucc(
-        1.0 - 3.0 / (3.0 + N / k), k
+    (SchemeId.MPBT_BOUND, Figure.FIDELITY): _Curve(
+        1.0, _bound_limit, lambda N, k, d: float(fidelity_bound_product(N, k, d)),
+        general_d=True, zero_above=False,
     ),
-    (SchemeId.MPBT_EXACT, Figure.PSUCC): lambda N, k, d: psucc_largeN(N, k),
-    (SchemeId.OMPBT, Figure.PSUCC): lambda N, k, d: float(ompbt_psucc(N, k, d)),
+    (SchemeId.PACK_PBT, Figure.PSUCC): _Curve(
+        1.0 / 3.0, lambda a, d: math.exp(-PBT_PSUCC_COEFF * a**1.5),
+        lambda N, k, d: _packaged_psucc(1.0 - PBT_PSUCC_COEFF / math.sqrt(N / k), k),
+    ),
+    (SchemeId.PACK_OPBT, Figure.PSUCC): _Curve(
+        0.5, lambda a, d: math.exp(-3.0 * a * a),
+        lambda N, k, d: _packaged_psucc(1.0 - 3.0 / (3.0 + N / k), k),
+    ),
+    (SchemeId.MPBT_EXACT, Figure.PSUCC): _Curve(
+        0.5, lambda a, d: gaussian_limit(a), lambda N, k, d: psucc_largeN(N, k)
+    ),
+    (SchemeId.OMPBT, Figure.PSUCC): _Curve(
+        1.0, _ompbt_limit, lambda N, k, d: float(ompbt_psucc(N, k, d)), general_d=True
+    ),
 }
 
 
-def finite_value(scheme: SchemeId, figure: Figure, N: int, k: int, d: int = 2) -> float:
-    """The scheme's figure of merit at N ports and k teleported systems.
-
-    The packaged forms take the real port count N/k per package, the
-    multi-port bound is the product form and the exact multi-port value the
-    log-space sum.  Only the bound and OMPBT rows take general d.
-    """
+def _curve(scheme: SchemeId, figure: Figure, d: int = 2) -> _Curve:
+    """The table row of a supported (scheme, figure) pair whose dimension
+    scope admits d."""
     scheme, figure = SchemeId(scheme), Figure(figure)
     try:
-        model = _MODEL[(scheme, figure)]
+        curve = _CURVES[(scheme, figure)]
     except KeyError:
         raise ValueError(
             f"unsupported scheme/figure combination: {scheme.value}, {figure.value}"
-        )
-    if d != 2 and scheme not in (SchemeId.MPBT_BOUND, SchemeId.OMPBT):
+        ) from None
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if d != 2 and not curve.general_d:
         raise ValueError(f"scheme {scheme.value} is modelled for qubits only (d=2)")
-    return model(N, k, d)
+    return curve
 
 
 def critical_exponent(scheme: SchemeId, figure: Figure) -> float:
     """alpha_cr for a supported (scheme, figure) pair."""
-    try:
-        return _ALPHA_CR[(SchemeId(scheme), Figure(figure))]
-    except KeyError:
-        raise ValueError(f"unsupported scheme/figure combination: {scheme}, {figure}")
+    return _curve(scheme, figure).alpha_cr
+
+
+def finite_value(scheme: SchemeId, figure: Figure, N: int, k: int, d: int = 2) -> float:
+    """The scheme's figure of merit at N ports and k teleported systems: the
+    finite-N curve whose limit ``critical_limit`` classifies.
+
+    The packaged forms take the real port count N/k per package, the
+    multi-port bound is the product form, the exact multi-port value the
+    log-space sum and OMPBT the exact product formula.  The bound and OMPBT
+    rows take general d, the others qubits only.
+    """
+    return _curve(scheme, figure, d).value(N, k, d)
 
 
 def critical_limit(
@@ -227,48 +246,23 @@ def critical_limit(
     pack-opbt   exp(-pi^2 a^3) (2/3)      exp(-3a^2)               (1/2)
     mpbt-bound  exp(-(d^2-1)a/(1-a)) (1)  --
     mpbt        --                        Gaussian limit integral  (1/2)
-    ompbt       --                        (1-a)^3                  (1)
+    ompbt       --                        (1-a)^(d^2-1)            (1)
     ==========  ========================  =============================
 
     The packaged rows and the exact multi-port row are qubit results (d = 2
-    rejected otherwise); the multi-port bound row takes general d.  The bound
-    row has no zero region: its scaling law is undefined for alpha > 1 (the
-    teleported count would exceed the ports) and its threshold constant needs
-    a < 1, both rejected.
+    rejected otherwise); the multi-port bound and OMPBT rows take general d.
+    The bound row has no zero region: its scaling law is undefined for
+    alpha > 1 (the teleported count would exceed the ports) and its threshold
+    constant needs a < 1, both rejected.  The OMPBT constant needs a <= 1.
     """
-    scheme = SchemeId(scheme)
-    figure = Figure(figure)
-    a_cr = critical_exponent(scheme, figure)
-    if d != 2 and scheme is not SchemeId.MPBT_BOUND:
-        raise ValueError(f"scheme {scheme.value} is classified for qubits only (d=2)")
-    if scaling.alpha < a_cr:
+    curve = _curve(scheme, figure, d)
+    if scaling.alpha < curve.alpha_cr:
         return LimitClass.one()
-    a = scaling.a
-    if scheme is SchemeId.MPBT_BOUND:
-        if scaling.alpha > a_cr:
-            raise ValueError("mpbt-bound fidelity scaling requires alpha <= 1")
-        if a >= 1:
-            raise ValueError("mpbt-bound limit at alpha = 1 requires a < 1")
-        return LimitClass.critical(math.exp(-(d * d - 1) * a / (1.0 - a)))
-    if scaling.alpha > a_cr:
+    if scaling.alpha > curve.alpha_cr:
+        if not curve.zero_above:
+            raise ValueError(
+                f"{SchemeId(scheme).value} {Figure(figure).value} scaling requires "
+                f"alpha <= {curve.alpha_cr:g}"
+            )
         return LimitClass.zero()
-    if scheme is SchemeId.PACK_PBT:
-        const = (
-            math.exp(-0.75 * a * a)
-            if figure is Figure.FIDELITY
-            else math.exp(-PBT_PSUCC_COEFF * a**1.5)
-        )
-        return LimitClass.critical(const)
-    if scheme is SchemeId.PACK_OPBT:
-        const = (
-            math.exp(-math.pi * math.pi * a**3)
-            if figure is Figure.FIDELITY
-            else math.exp(-3.0 * a * a)
-        )
-        return LimitClass.critical(const)
-    if scheme is SchemeId.MPBT_EXACT:
-        return LimitClass.critical(gaussian_limit(a))
-    # OMPBT at alpha = 1: the product formula tends to (1-a)^3 for a < 1
-    if a > 1:
-        raise ValueError("ompbt limit at alpha = 1 requires a <= 1")
-    return LimitClass.critical((1.0 - a) ** 3)
+    return LimitClass.critical(curve.limit(scaling.a, d))

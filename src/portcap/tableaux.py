@@ -111,12 +111,6 @@ def ssyt_count(mu: Diagram, d: int) -> int:
     return count
 
 
-def add_one_box(mu: Diagram, max_rows: int) -> list[Diagram]:
-    """Diagrams obtained from ``mu`` by adding a single box, keeping at most
-    ``max_rows`` rows, in lexicographically decreasing order."""
-    return [grown for grown, _ in add_boxes(mu, 1, max_rows)]
-
-
 def add_boxes(alpha: Diagram, k: int, max_rows: int) -> list[tuple[Diagram, int]]:
     """Every diagram reachable from ``alpha`` by adding ``k`` boxes one at a
     time within ``max_rows`` rows, paired with its growth-path count.

@@ -84,7 +84,7 @@ GOLDEN = [
     ("asympt --scheme mpbt --figure psucc --a 0.5 --alpha 0.7 --N-range 100:400:100 --format json", 0, "a87a725a8b2b73137c008b493fd5747f4c61d6f7d82ad0d0989a66f7f6bc5ce5"),
     ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100,1000", 0, "0e9b12ec18c8a905a72703d07181690c34caa878f6a1dfe1a0f9d4b7a9777907"),
     ("asympt --scheme ompbt --figure psucc --a 2.0 --alpha 1.2 --N-list 10,20", 0, "7154bba3f57b188ce9243f8b5fb4b9b7e6e41b3e457148919fb9bd9b92e5fc55"),
-    ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100 --d 3 --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100 --d 3 --format json", 0, "03269f58b02c9d53721aeaac93aa3f8987db83358a5cd61b81002b5fef28a253"),
     ("gauss --a 0.5 --N-range 100:400:100", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),
     ("gauss --a 0.5 --N-range 100:400:100 --arith exact", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),
     ("gauss --a 0.5 --N-range 100:400:100 --arith log", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from portcap.exactmath import (
     binomial,
     exp_normal,
-    falling_factorial,
     ln_int,
     logsumexp,
     square_of_radical_sum,
@@ -68,23 +67,6 @@ class TestBinomial:
     def test_symmetry(self, n, k):
         if 0 <= k <= n:
             assert binomial(n, k) == binomial(n, n - k)
-
-
-class TestFallingFactorial:
-    def test_values(self):
-        assert falling_factorial(4, 2) == 12
-        assert falling_factorial(2, 2) == 2
-        for n in (0, 1, 7, 40):
-            assert falling_factorial(n, 0) == 1
-
-    def test_rejects_k_above_n(self):
-        with pytest.raises(ValueError):
-            falling_factorial(3, 4)
-
-    @given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60))
-    def test_matches_binomial_times_factorial(self, n, k):
-        if k <= n:
-            assert falling_factorial(n, k) == binomial(n, k) * math.factorial(k)
 
 
 class TestLnInt:

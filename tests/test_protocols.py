@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from portcap.asymptotics import gaussian_limit
-from portcap.performance import fidelity_exact, psucc_exact
+from portcap.performance import psucc_exact
 from portcap.protocols import (
     Figure,
     LimitClass,
@@ -47,28 +47,15 @@ class TestSinglePortReferences:
 
 class TestPackaged:
     def test_opbt_package_value(self):
-        assert math.isclose(packaged_fidelity(4, 2, base="opbt"), 0.25, abs_tol=1e-14)
+        assert math.isclose(packaged_fidelity(4, 2), 0.25, abs_tol=1e-14)
 
     def test_single_package_collapse(self):
         for N in (3, 7, 20):
-            assert packaged_fidelity(N, 1, base="opbt") == opbt_fidelity(N)
-            assert math.isclose(
-                packaged_fidelity(N, 1, base="pbt"),
-                fidelity_exact(N, 1, 2).value,
-                rel_tol=1e-12,
-            )
-
-    def test_pbt_package_composition(self):
-        expected = fidelity_exact(2, 1, 2).value ** 2
-        assert math.isclose(packaged_fidelity(4, 2, base="pbt"), expected, rel_tol=1e-12)
-
-    def test_pbt_package_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            packaged_fidelity(7, 2, base="pbt")
+            assert packaged_fidelity(N, 1) == opbt_fidelity(N)
 
     def test_opbt_package_takes_real_ports(self):
         # 3.5 ports per package, not floor(7/2) = 3
-        val = packaged_fidelity(7, 2, base="opbt")
+        val = packaged_fidelity(7, 2)
         assert math.isclose(val, math.cos(math.pi / 5.5) ** 4, rel_tol=1e-14)
 
     def test_approx_forms(self):
@@ -142,6 +129,36 @@ class TestCriticalLimit:
         assert math.isclose(c.value, gaussian_limit(1.0), rel_tol=1e-14)
         c = critical_limit(SchemeId.OMPBT, ScalingSpec(0.5, 1.0), Figure.PSUCC)
         assert math.isclose(c.value, 0.125, rel_tol=1e-14)
+
+    def test_ompbt_general_dimension(self):
+        # the product of d^2 - 1 factors (1 - k/(N-1+m)) tends to (1-a)^(d^2-1)
+        c = critical_limit(SchemeId.OMPBT, ScalingSpec(0.5, 1.0), Figure.PSUCC, d=3)
+        assert c == LimitClass.critical(0.5**8)
+        assert abs(finite_value("ompbt", "psucc", 100000, 50000, 3) - 0.5**8) <= 1e-4
+        with pytest.raises(ValueError):
+            critical_limit(SchemeId.OMPBT, ScalingSpec(1.5, 1.0), Figure.PSUCC, d=3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("figure", list(Figure))
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_limit_and_curve_share_dimension_scope(self, scheme, figure, d):
+        # one dimension check: the finite-N curve and its limit accept the
+        # same d, at the threshold where every supported row is defined
+        try:
+            scaling = ScalingSpec(0.5, critical_exponent(scheme, figure))
+        except ValueError:
+            scaling = ScalingSpec(0.5, 1.0)
+        outcomes = []
+        for evaluate in (
+            lambda: finite_value(scheme, figure, 100, scaling.k_of(100), d),
+            lambda: critical_limit(scheme, scaling, figure, d),
+        ):
+            try:
+                evaluate()
+                outcomes.append("accepts")
+            except ValueError:
+                outcomes.append("raises")
+        assert outcomes[0] == outcomes[1], (scheme, figure, d, outcomes)
 
     def test_bound_scheme_general_dimension(self):
         c = critical_limit(SchemeId.MPBT_BOUND, ScalingSpec(0.5, 1.0), Figure.FIDELITY, d=3)

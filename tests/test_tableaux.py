@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import count_ssyt_brute, count_syt_brute, growth_paths_brute, syt_count_hook
 from portcap.tableaux import (
     add_boxes,
-    add_one_box,
     as_diagram,
     enumerate_diagrams,
     skew_count_two_row,
@@ -136,7 +135,6 @@ class TestBoxAddition:
         for mu in enumerate_diagrams(6, 3):
             added = add_boxes(mu, 1, 3)
             assert [c for _, c in added] == [1] * len(added)
-            assert [m for m, _ in added] == add_one_box(mu, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(diagrams(max_boxes=5, max_rows=3), st.integers(1, 4), st.integers(1, 4))
