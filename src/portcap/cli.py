@@ -40,6 +40,14 @@ class OutputRecord:
     method: str
 
 
+@dataclass(frozen=True)
+class LimitRecord(OutputRecord):
+    """An ``asympt`` row: the record plus the classified limit of its scaling."""
+
+    limit_class: str
+    limit_value: str
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -238,7 +246,8 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
     method = f"scaling[a={args.a:g},alpha={args.alpha:g}]"
     _emit_records(
         args.format,
-        (OutputRecord(scheme.value, N, k, args.d, figure.value, _fmt(value), None, method)
+        (LimitRecord(scheme.value, N, k, args.d, figure.value, _fmt(value), None, method,
+                     limit.kind, _fmt(limit.value))
          for N, k, value in rows),
         "N,k,value,limit_class,limit_value",
         (f"{N},{k},{_fmt(value)},{limit.kind},{_fmt(limit.value)}" for N, k, value in rows),

@@ -8,11 +8,13 @@ are built directly as tensor products of maximally entangled projectors with
 identities, an independent route from the permutation-operator algebra used
 by ``bounds.pairwise_signal_trace``.
 
-The signal sum rho is dense and diagonalized once.  Each signal has rank
-d**(N-k): it is 1/d^N times a sum of all-ones blocks over d**(N-k) groups of
-d**k rows, checked exactly against its coordinates.  The per-outcome traces
-and the square-root measurement are computed from that factor, so no
-per-outcome d**(N+k) x d**(N+k) matrix is formed.
+The signal sum rho is dense and diagonalized block by block, one block per
+U(1)^d weight of the basis indices, with the block structure checked exactly
+against rho's nonzeros.  Each signal has rank d**(N-k): it is 1/d^N times a
+sum of all-ones blocks over d**(N-k) groups of d**k rows, checked exactly
+against its coordinates.  The per-outcome traces and the square-root
+measurement are computed from that factor, so no per-outcome
+d**(N+k) x d**(N+k) matrix is formed.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -123,13 +125,60 @@ def _signal_groups(ports: tuple[int, ...], p: ProtocolParams) -> np.ndarray:
     return groups
 
 
-def _inverse_sqrt_on_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weight_keys(p: ProtocolParams) -> np.ndarray:
+    """U(1)^d weight of every basis index x*d**k + u, packed into one int64.
+
+    For each colour c < d-1 the weight counts c among the N port digits minus
+    c among the k slot digits; colour d-1 follows, since the counts sum to N
+    and k.  Each difference lies in [-k, N], so offset by k it is one digit in
+    base N+k+1 and the packing is injective.
+    """
+    N, k, d = p.N, p.k, p.d
+    places = d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(d**p.n, dtype=np.int64)[:, None] // places) % d
+    keys = np.zeros(d**p.n, dtype=np.int64)
+    for c in range(d - 1):
+        diff = (digits[:, :N] == c).sum(axis=1) - (digits[:, N:] == c).sum(axis=1)
+        keys = keys * (N + k + 1) + diff + k
+    return keys
+
+
+def _inverse_sqrt_on_support(
+    rho: np.ndarray, p: ProtocolParams
+) -> tuple[np.ndarray, np.ndarray]:
     """(rho^(-1/2) on its support, orthonormal basis of the kernel), support
-    decided by the relative eigenvalue threshold SUPPORT_RTOL."""
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vals > SUPPORT_RTOL * vals.max()
-    vs = vecs[:, keep]
-    return (vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep]
+    decided by the relative eigenvalue threshold SUPPORT_RTOL.
+
+    rho commutes with U^(x N) x conj(U)^(x k), so for diagonal U it only
+    connects basis indices of equal U(1)^d weight (``_weight_keys``).  Only
+    that phase symmetry is used, not the Schur-Weyl algebra the oracle
+    certifies.  The block structure is checked exactly: the blocks must hold
+    every nonzero of rho, or ValueError.  Each block is diagonalized on its
+    own, the support is decided against the largest eigenvalue of all blocks,
+    and each block's rho^(-1/2) and kernel vectors are embedded in the full
+    index space.
+    """
+    dim = p.d**p.n
+    if rho.shape != (dim, dim):
+        raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
+    keys = _weight_keys(p)
+    order = np.argsort(keys, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    subs = [rho[np.ix_(b, b)] for b in blocks]
+    if sum(np.count_nonzero(s) for s in subs) != np.count_nonzero(rho):
+        raise ValueError("rho connects basis indices of different U(1)^d weight")
+    eigs = [np.linalg.eigh(s) for s in subs]
+    cut = SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
+    inv_sqrt = np.zeros_like(rho)
+    kernel = np.zeros((dim, sum(int((vals <= cut).sum()) for vals, _ in eigs)))
+    col = 0
+    for b, (vals, vecs) in zip(blocks, eigs):
+        keep = vals > cut
+        vs, ker = vecs[:, keep], vecs[:, ~keep]
+        inv_sqrt[np.ix_(b, b)] = (vs / np.sqrt(vals[keep])) @ vs.T
+        kernel[b, col : col + ker.shape[1]] = ker
+        col += ker.shape[1]
+    return inv_sqrt, kernel
 
 
 def rho_and_srm(p: ProtocolParams) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -142,7 +191,7 @@ def rho_and_srm(p: ProtocolParams) -> tuple[np.ndarray, list[np.ndarray]]:
     the identity.  No dim x dim element is formed.
     """
     rho = signal_sum(p)
-    inv_sqrt, kernel = _inverse_sqrt_on_support(rho)
+    inv_sqrt, kernel = _inverse_sqrt_on_support(rho, p)
     scale = math.sqrt(1.0 / p.d**p.N)
     # S is symmetric, so S G_i is the transpose of S's rows summed per group
     factors = [
@@ -168,7 +217,7 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
     """
     if rho is None:
         rho = signal_sum(p)
-    inv_sqrt, _ = _inverse_sqrt_on_support(rho)
+    inv_sqrt, _ = _inverse_sqrt_on_support(rho, p)
     v = 1.0 / p.d**p.N
     out = []
     for ports in all_port_tuples(p.N, p.k):

@@ -148,6 +148,18 @@ class TestAsymptCommand:
         assert (n, k, kind) == ("100", "10", "critical")
         assert float(lim) == pytest.approx(2.718281828459045**-0.75, rel=1e-10)
 
+    def test_json_carries_the_csv_limit(self, capsys):
+        argv = ["asympt", "--scheme", "ompbt", "--figure", "psucc", "--a", "0.5",
+                "--alpha", "1.0", "--N-list", "10,100", "--d", "3"]
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        csv_limits = [tuple(line.split(",")[3:]) for line in csv_out.strip().split("\n")[1:]]
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in json_out.strip().split("\n")]
+        assert [(r["limit_class"], r["limit_value"]) for r in records] == csv_limits
+        assert csv_limits == [("critical", "0.00390625")] * 2
+
     def test_invalid_combination_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "asympt", "--scheme", "ompbt", "--figure", "fidelity",

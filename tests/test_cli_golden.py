@@ -81,10 +81,10 @@ GOLDEN = [
     ("asympt --scheme mpbt-bound --figure fidelity --a 0.25 --alpha 1.0 --N-list 40,80 --d 3", 0, "bc88b87fe80ce0d8d3bbe187c47426305c87405cb90c00c32502e10fef12ee48"),
     ("asympt --scheme mpbt-bound --figure fidelity --a 1.0 --alpha 0.5 --N-list 100,400", 0, "86a551f6f27a2f9bb7d6c8434e36de724b4f0db0c2751feba488ff90e71d93f8"),
     ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 100,400,1600", 0, "48efae4ebced738ba670b697587846214ef8af258ec0509b72e29531fb3efdd7"),
-    ("asympt --scheme mpbt --figure psucc --a 0.5 --alpha 0.7 --N-range 100:400:100 --format json", 0, "a87a725a8b2b73137c008b493fd5747f4c61d6f7d82ad0d0989a66f7f6bc5ce5"),
+    ("asympt --scheme mpbt --figure psucc --a 0.5 --alpha 0.7 --N-range 100:400:100 --format json", 0, "4c44a9352b8867c2c823cf6b2ceeb720a6dc04031a11820a5af3a058fde1bb9c"),
     ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100,1000", 0, "0e9b12ec18c8a905a72703d07181690c34caa878f6a1dfe1a0f9d4b7a9777907"),
     ("asympt --scheme ompbt --figure psucc --a 2.0 --alpha 1.2 --N-list 10,20", 0, "7154bba3f57b188ce9243f8b5fb4b9b7e6e41b3e457148919fb9bd9b92e5fc55"),
-    ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100 --d 3 --format json", 0, "03269f58b02c9d53721aeaac93aa3f8987db83358a5cd61b81002b5fef28a253"),
+    ("asympt --scheme ompbt --figure psucc --a 0.5 --alpha 1.0 --N-list 10,100 --d 3 --format json", 0, "ea483cb94cce120f378d20f011536a948e02af1a78a4e44ee3f390c327c6a046"),
     ("gauss --a 0.5 --N-range 100:400:100", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),
     ("gauss --a 0.5 --N-range 100:400:100 --arith exact", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),
     ("gauss --a 0.5 --N-range 100:400:100 --arith log", 0, "0d695bbca80c566c89778b4d58aff7b732b7913145e4f489a74461652d2a9dc1"),

@@ -1,11 +1,15 @@
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import portcap
 import portcap.cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_all_names_resolve_once():
@@ -29,3 +33,19 @@ def test_traced_benchmark_targets_resolve():
     assert not missing
     tracer = tracing.Tracer()  # also finds cli.main and cli._verify_checks
     assert tracer.spans == []
+
+
+def test_cli_import_loads_only_numpy_among_optional_packages():
+    # numpy is the only runtime dependency, and import time is part of every
+    # CLI call; scipy, mpmath and hypothesis may be installed but must stay
+    # unloaded
+    code = (
+        "import sys, portcap.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'mpmath', 'hypothesis'}))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -202,6 +203,42 @@ class TestSignalFactorization:
                 simulate._signal_groups(ports, ProtocolParams(4, 2, 2))
         with pytest.raises(ValueError):
             rho_and_srm(ProtocolParams(4, 2, 2))
+
+
+class TestWeightBlocks:
+    def test_blockwise_solve_matches_dense_eigh(self):
+        # one instance at each d in 2..5, plus one with k = N
+        for p in [ProtocolParams(4, 2, 2), ProtocolParams(3, 1, 3), ProtocolParams(2, 1, 4),
+                  ProtocolParams(2, 1, 5), ProtocolParams(3, 3, 2)]:
+            rho = signal_sum(p)
+            inv_sqrt, kernel = simulate._inverse_sqrt_on_support(rho, p)
+            assert np.abs(inv_sqrt - dense_inverse_sqrt(p)).max() < 1e-10, p
+            vals, vecs = np.linalg.eigh(rho)
+            support = vecs[:, vals > 1e-12 * vals.max()]
+            complement = np.eye(len(rho)) - support @ support.T
+            assert kernel.shape[1] > 0, p
+            assert np.abs(kernel @ kernel.T - complement).max() < 1e-10, p
+
+    def test_keys_label_the_weights_one_to_one(self):
+        for p in [ProtocolParams(3, 1, 3), ProtocolParams(2, 2, 4)]:
+            keys = simulate._weight_keys(p)
+            weights = []
+            for digits in itertools.product(range(p.d), repeat=p.n):
+                ports, slots = digits[:p.N], digits[p.N:]
+                weights.append(tuple(ports.count(c) - slots.count(c) for c in range(p.d)))
+            pairs = set(zip(weights, keys.tolist()))
+            assert len(pairs) == len(set(weights)) == len(set(keys.tolist())), p
+
+    def test_off_block_entry_and_wrong_shape_are_rejected(self):
+        p = ProtocolParams(4, 2, 2)
+        rho = signal_sum(p)
+        keys = simulate._weight_keys(p)
+        i, j = 0, int(np.flatnonzero(keys != keys[0])[0])
+        rho[i, j] = rho[j, i] = 1e-3
+        with pytest.raises(ValueError):
+            simulate._inverse_sqrt_on_support(rho, p)
+        with pytest.raises(ValueError):
+            simulate._inverse_sqrt_on_support(rho[:-1, :-1], p)
 
 
 class TestFiguresOfMerit:
