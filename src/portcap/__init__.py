@@ -28,7 +28,6 @@ from .bounds import (
     trace_rho_squared,
 )
 from .core import EvalResult, ProtocolParams
-from .exactmath import binomial
 from .performance import (
     fidelity_exact,
     fidelity_qubit,
@@ -52,7 +51,6 @@ from .protocols import (
 )
 from .simulate import (
     all_port_tuples,
-    build_signal,
     rho_and_srm,
     srm_fidelity,
     srm_pdist,
@@ -62,7 +60,6 @@ from .tableaux import (
     add_boxes,
     as_diagram,
     enumerate_diagrams,
-    skew_count_two_row,
     ssyt_count,
     syt_count,
 )
@@ -80,8 +77,6 @@ __all__ = [
     "add_boxes",
     "all_port_tuples",
     "as_diagram",
-    "binomial",
-    "build_signal",
     "critical_exponent",
     "critical_limit",
     "Diagram",
@@ -110,7 +105,6 @@ __all__ = [
     "rho_and_srm",
     "sandwich_k",
     "signal_pair_trace_raw",
-    "skew_count_two_row",
     "srm_fidelity",
     "srm_pdist",
     "ssyt_count",

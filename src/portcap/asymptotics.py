@@ -73,12 +73,12 @@ def sandwich_k(N: int, a: float) -> int:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"a must be nonnegative and finite, got {a}")
     target = a * math.sqrt(N)
     parity = N % 2
     lo = math.floor(target)
     candidates = [c for c in range(lo - 1, lo + 3) if c >= 1 and c % 2 == parity]
-    if not candidates:
-        candidates = [parity if parity else 2]
     return min(candidates, key=lambda c: (abs(c - target), -c))
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import ProtocolParams
-from .exactmath import binomial
 
 
 def trace_rho_squared(n: int, k: int, d: int) -> int:
@@ -49,7 +48,7 @@ def trace_rho_bar_squared(N: int, k: int, d: int) -> Fraction:
         d**-(N+k) * C(N,k)**-1 * C(d^2+N-1, k)
     """
     ProtocolParams(N, k, d).require_bound_scope()
-    return Fraction(binomial(d * d + N - 1, k), d ** (N + k) * binomial(N, k))
+    return Fraction(math.comb(d * d + N - 1, k), d ** (N + k) * math.comb(N, k))
 
 
 def pdist_lower(N: int, k: int, d: int) -> Fraction:
@@ -66,7 +65,7 @@ def pdist_lower(N: int, k: int, d: int) -> Fraction:
 def fidelity_bound_ratio(N: int, k: int, d: int) -> Fraction:
     """Strongest closed-form fidelity lower bound: C(N,k) / C(d^2+N-1, k)."""
     ProtocolParams(N, k, d).require_bound_scope()
-    return Fraction(binomial(N, k), binomial(d * d + N - 1, k))
+    return Fraction(math.comb(N, k), math.comb(d * d + N - 1, k))
 
 
 def fidelity_bound_product(N: int, k: int, d: int) -> Fraction:
@@ -104,24 +103,19 @@ def symmetric_poly_bound(N: int, k: int, d: int, order: int) -> Fraction:
 def pairwise_signal_trace(
     a: Sequence[int], b: Sequence[int], n: int, k: int, d: int
 ) -> Fraction:
-    """tr(sigma_a sigma_b) for two normalized signals on n systems.
-
-    Equal to d**(n - 2k + 2*hits) / d**(2N), where ``hits`` counts the slots
-    whose port index coincides after threading through the transposition
-    sequence built from the earlier slots (see ``_coincidence_count``).
-    """
-    _validate_tuples(a, b, n, k)
-    N = n - k
-    hits = _coincidence_count(a, b)
-    return Fraction(d ** (n - 2 * k + 2 * hits), d ** (2 * N))
+    """tr(sigma_a sigma_b) for two normalized signals on n systems:
+    ``signal_pair_trace_raw`` over the signals' two factors of d**N."""
+    return Fraction(signal_pair_trace_raw(a, b, n, k, d), d ** (2 * (n - k)))
 
 
 def signal_pair_trace_raw(
     a: Sequence[int], b: Sequence[int], n: int, k: int, d: int
 ) -> int:
     """Unnormalized pairwise trace (signals without their 1/d^N factor):
-    d**(n-2k) * d**(2*hits).  Summed over all ordered tuple pairs this equals
-    ``trace_rho_squared``."""
+    d**(n-2k) * d**(2*hits), where ``hits`` counts the slots whose port index
+    coincides after threading through the transposition sequence built from
+    the earlier slots (see ``_coincidence_count``).  Summed over all ordered
+    tuple pairs this equals ``trace_rho_squared``."""
     _validate_tuples(a, b, n, k)
     return d ** (n - 2 * k + 2 * _coincidence_count(a, b))
 

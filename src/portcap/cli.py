@@ -96,8 +96,11 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(text: str, name: str) -> list[int]:
+    toks = text.split(",")
+    if not all(tok.strip() for tok in toks):
+        raise ValueError(f"{name} has an empty item: {text!r}")
+    return [int(tok) for tok in toks]
 
 
 # ------------------------------------------------------- fidelity / psucc --
@@ -196,10 +199,8 @@ def _compare_row(N: int, k: int, d: int, strict: bool, arith: str) -> tuple:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    k_list = _parse_int_list(args.k_list)
+    k_list = _parse_int_list(args.k_list, "--k-list")
     n_list = _parse_range(args.N_range)
-    if not k_list or not n_list:
-        raise ValueError("empty k-list or N-range")
     strict = args.strict_packaging == "true"
     rows = [_compare_row(N, k, args.d, strict, args.arith) for N in n_list for k in k_list]
     _emit_records(
@@ -228,13 +229,11 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
     scaling = ScalingSpec(args.a, args.alpha)
     limit = protocols.critical_limit(scheme, scaling, figure, d=args.d)
     if args.N_list:
-        n_list = _parse_int_list(args.N_list)
+        n_list = _parse_int_list(args.N_list, "--N-list")
     elif args.N_range:
         n_list = _parse_range(args.N_range)
     else:
         raise ValueError("one of --N-list or --N-range is required")
-    if not n_list:
-        raise ValueError("empty N list")
 
     def row(N: int) -> tuple:
         k = scaling.k_of(N)
@@ -261,8 +260,6 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
 def _cmd_gauss(args: argparse.Namespace) -> int:
     a = args.a
     n_list = _parse_range(args.N_range)
-    if not n_list:
-        raise ValueError("empty N-range")
     limit = gaussian_limit(a)
 
     def row(N: int) -> tuple:
@@ -317,7 +314,7 @@ def _verify_checks(max_dim: int):
 
     yield ("overlap-counterexample", 4, 2, 2, overlap_counterexample)
 
-    instances = simulate.feasible_instances(max_dim=max_dim, bound_scope=True)
+    instances = simulate.feasible_instances(max_dim=max_dim)
     for p in instances:
         # the dense pipeline (signal sum, eigensolve, per-outcome traces) is
         # the expensive part; compute it once per instance, checks share it

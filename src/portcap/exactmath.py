@@ -25,19 +25,6 @@ _LN_MIN_NORMAL = math.log(sys.float_info.min)
 _SQRT_GUARD_BITS = 128
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the out-of-range convention C(n, k) = 0 for k < 0 or k > n.
-
-    The zero convention is load-bearing: the spin-coupling coefficients and the
-    qubit success-probability sum rely on vanishing out-of-range terms.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def ln_int(x: int) -> float:
     """Natural log of a positive integer, accurate to a few ulp at any size."""
     if x <= 0:

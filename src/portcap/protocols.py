@@ -50,13 +50,18 @@ class ScalingSpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not 0 < self.alpha:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def k_of(self, N: int) -> int:
-        return math.floor(self.a * N**self.alpha)
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        try:
+            return math.floor(self.a * N**self.alpha)
+        except OverflowError:
+            raise ValueError(f"k = floor(a*N^alpha) overflows a float at N={N}") from None
 
 
 @dataclass(frozen=True)

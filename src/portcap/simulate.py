@@ -78,15 +78,6 @@ def _signal_coords(
     return rows, cols
 
 
-def build_signal(ports: tuple[int, ...], p: ProtocolParams) -> np.ndarray:
-    """Dense normalized signal operator for one measurement outcome."""
-    dim = _check_guard(p)
-    rows, cols = _signal_coords(ports, p)
-    sigma = np.zeros((dim, dim))
-    sigma[rows, cols] = 1.0 / p.d**p.N
-    return sigma
-
-
 def signal_sum(p: ProtocolParams) -> np.ndarray:
     """Sum of all normalized signals (trace k! C(N,k))."""
     dim = _check_guard(p)
@@ -249,11 +240,9 @@ def pairwise_trace_matrix(
     return hits / float(p.d ** (2 * p.N))
 
 
-def feasible_instances(
-    max_dim: int = DIM_GUARD, bound_scope: bool = True
-) -> list[ProtocolParams]:
-    """All (N, k, d) with d**(N+k) <= max_dim, ordered by dimension; by
-    default restricted to k <= floor(N/2) so bound checks apply."""
+def feasible_instances(max_dim: int = DIM_GUARD) -> list[ProtocolParams]:
+    """All (N, k, d) with d**(N+k) <= max_dim and k <= floor(N/2), so that
+    the bound checks apply, ordered by dimension."""
     if max_dim > DIM_GUARD:
         raise ValueError(f"max_dim must be <= {DIM_GUARD}")
     out = []
@@ -262,10 +251,8 @@ def feasible_instances(
             continue
         max_n = int(math.log(max_dim) / math.log(d) + 1e-9)
         for N in range(1, max_n):
-            for k in range(1, N + 1):
+            for k in range(1, N // 2 + 1):
                 if d ** (N + k) > max_dim:
                     break
-                if bound_scope and k > N // 2:
-                    continue
                 out.append(ProtocolParams(N, k, d))
     return sorted(out, key=lambda q: (q.d**q.n, q.d, q.N, q.k))

@@ -11,17 +11,14 @@ tuple is the empty diagram.  For a diagram ``mu`` with at most ``d`` rows,
   by adding k boxes one at a time through valid diagrams, with the number of
   such growth paths for each target.
 
-The growth-path recursion is the authoritative count; the closed two-row
-determinant form (``skew_count_two_row``) is kept as an independent
-cross-check of it.
+The growth-path recursion is the only growth count in the package; the tests
+check it on two rows against the closed spin-coupling form.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
-
-from .exactmath import binomial
 
 Diagram = tuple[int, ...]
 
@@ -137,26 +134,3 @@ def add_boxes(alpha: Diagram, k: int, max_rows: int) -> list[tuple[Diagram, int]
                 nxt[grown] = nxt.get(grown, 0) + paths
         counts = nxt
     return sorted(counts.items(), reverse=True)
-
-
-def skew_count_two_row(alpha: Diagram, mu: Diagram) -> int:
-    """Growth-path count for nested two-row shapes via the closed determinant
-    form, which reduces to a difference of two binomials:
-
-        k! * det[ 1 / (mu_i - alpha_j - i + j)! ]  =  C(k, mu1-alpha1) - C(k, mu1-alpha2+1)
-
-    with 1/x! = 0 for negative x and k = |mu| - |alpha|.  Must agree with the
-    ``add_boxes`` recursion on its whole domain.
-    """
-    alpha = as_diagram(alpha)
-    mu = as_diagram(mu)
-    if len(alpha) > 2 or len(mu) > 2:
-        raise ValueError("skew_count_two_row handles diagrams with at most 2 rows")
-    a1, a2 = (alpha + (0, 0))[:2]
-    m1, m2 = (mu + (0, 0))[:2]
-    if m1 < a1 or m2 < a2:
-        raise ValueError(f"shapes not nested: alpha={alpha}, mu={mu}")
-    k = (m1 + m2) - (a1 + a2)
-    if k < 1:
-        raise ValueError("mu must contain at least one box more than alpha")
-    return binomial(k, m1 - a1) - binomial(k, m1 - a2 + 1)

@@ -76,6 +76,14 @@ class TestSandwichK:
         # keeping the value under the bound computed at 5)
         assert sandwich_k(100, 0.5) == 6
 
+    def test_zero_rate_takes_the_smallest_k_of_n_parity(self):
+        assert (sandwich_k(100, 0.0), sandwich_k(101, 0.0)) == (2, 1)
+
+    @pytest.mark.parametrize("a", [-0.5, -1e-300, math.inf, -math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_rate(self, a):
+        with pytest.raises(ValueError):
+            sandwich_k(100, a)
+
     # Known defect: a*sqrt(N) = 22.91 at N = 2100 and 48.99 at N = 9600 round
     # down to k = 22 and 48, and the exact success probability at that
     # smaller k (0.43535, 0.42735) exceeds the upper bound (0.43218, 0.42529).

@@ -108,6 +108,13 @@ GOLDEN = [
     ("asympt --scheme pack-pbt --figure psucc --a 1.0 --alpha 0.5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("gauss --a 2.5 --N-range 100:200:100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify --max-dim 8192", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 100,-5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 400 --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a inf --alpha 0.5 --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha inf --N-list 100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gauss --a inf --N-range 100:200:100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("compare --k-list 4,,6 --N-range 8:16:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 100,", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

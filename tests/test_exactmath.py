@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from portcap.exactmath import (
-    binomial,
     exp_normal,
     ln_int,
     logsumexp,
@@ -46,27 +45,6 @@ _radicands = st.one_of(
     st.integers(0, 2**200),
     st.builds(lambda q, s: q * s * s, st.sampled_from([1, 2, 3, 6]), st.integers(0, 2**100)),
 )
-
-
-class TestBinomial:
-    def test_basic(self):
-        assert binomial(5, 2) == 10
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-        assert binomial(0, 0) == 1
-
-    def test_denominator_of_first_bound(self):
-        # C(d^2 + N - 1, k) at d=2, N=4, k=2
-        assert binomial(7, 2) == 21
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=-5, max_value=305))
-    def test_symmetry(self, n, k):
-        if 0 <= k <= n:
-            assert binomial(n, k) == binomial(n, n - k)
 
 
 class TestLnInt:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import syt_count_hook
-from portcap.exactmath import binomial, ln_int, logsumexp, square_of_radical_sum
+from portcap.exactmath import ln_int, logsumexp, square_of_radical_sum
 from portcap.performance import (
     _exact_result,
     _ln_binomial_table,
@@ -15,7 +15,7 @@ from portcap.performance import (
     psucc_qubit,
     resolve_arith,
 )
-from portcap.tableaux import add_boxes, enumerate_diagrams, skew_count_two_row, ssyt_count
+from portcap.tableaux import add_boxes, enumerate_diagrams, ssyt_count
 
 
 def spin_path_count(two_s, two_j, k):
@@ -35,7 +35,8 @@ def spin_path_count(two_s, two_j, k):
         )
     lo = (two_s - two_j + k) // 2
     hi = (two_s + two_j + k) // 2 + 1
-    return binomial(k, lo) - binomial(k, hi)
+    # math.comb(k, hi) is already 0 for hi > k; only lo can fall below 0
+    return (math.comb(k, lo) if lo >= 0 else 0) - math.comb(k, hi)
 
 
 def reference_psucc_exact(N, k, d):
@@ -132,24 +133,21 @@ class TestSpinPathCount:
         with pytest.raises(ValueError):
             spin_path_count(0, 0, 1)
 
-    def test_equals_two_row_skew_count(self):
-        # spin labels are just two-row diagrams: alpha of N-k boxes at spin s,
-        # mu of N boxes at spin j
-        for N in range(1, 13):
-            for k in range(1, N + 1):
-                for two_s in range((N - k) % 2, N - k + 1, 2):
-                    alpha = tuple(
-                        x for x in ((N - k + two_s) // 2, (N - k - two_s) // 2) if x
-                    )
-                    for two_j in range(N % 2, N + 1, 2):
-                        mu = tuple(x for x in ((N + two_j) // 2, (N - two_j) // 2) if x)
-                        a1, a2 = (alpha + (0, 0))[:2]
+    def test_equals_two_row_growth_paths(self):
+        # spin labels are two-row diagrams: alpha of N-k boxes at 2s = a1 - a2,
+        # mu of N boxes at 2j = m1 - m2; the closed form counts add_boxes'
+        # growth paths on every pair with |mu| <= 14, and non-nested pairs
+        # have none
+        for size in range(14):
+            for alpha in enumerate_diagrams(size, 2):
+                a1, a2 = (alpha + (0, 0))[:2]
+                for k in range(1, 15 - size):
+                    reached = dict(add_boxes(alpha, k, 2))
+                    for mu in enumerate_diagrams(size + k, 2):
                         m1, m2 = (mu + (0, 0))[:2]
-                        h = spin_path_count(two_s, two_j, k)
-                        if m1 >= a1 and m2 >= a2:
-                            assert h == skew_count_two_row(alpha, mu)
-                        else:
-                            assert h == 0
+                        h = spin_path_count(a1 - a2, m1 - m2, k)
+                        assert h == reached.get(mu, 0), (alpha, mu)
+                        assert (h > 0) == (m1 >= a1 and m2 >= a2), (alpha, mu)
 
 
 class TestFidelityExact:

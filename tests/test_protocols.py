@@ -175,6 +175,24 @@ class TestCriticalLimit:
         assert scaling.k_of(10) == 7
         assert scaling.k_of(9) == math.floor(0.7 * 9)  # 6.3 -> 6
 
+    @pytest.mark.parametrize("a, alpha", [
+        (0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
+        (1.0, 0.0), (1.0, -0.5), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_scaling_rejects_non_positive_or_non_finite(self, a, alpha):
+        with pytest.raises(ValueError):
+            ScalingSpec(a, alpha)
+
+    def test_scaling_k_rejects_bad_n_and_overflow(self):
+        # a negative N to a fractional power is complex; 100**400 overflows
+        for N in (0, -5):
+            with pytest.raises(ValueError):
+                ScalingSpec(1.0, 0.5).k_of(N)
+        with pytest.raises(ValueError):
+            ScalingSpec(1.0, 400.0).k_of(100)
+        with pytest.raises(ValueError):
+            ScalingSpec(1e308, 1.0).k_of(100)
+
     def test_convergence_along_grid(self):
         # strictly below / above alpha_cr the finite-N curve heads to 1 / 0
         grid = (100, 1000, 10_000, 100_000)

@@ -15,7 +15,6 @@ from portcap.core import ProtocolParams
 from portcap.performance import fidelity_exact
 from portcap.simulate import (
     all_port_tuples,
-    build_signal,
     feasible_instances,
     pairwise_trace_matrix,
     rho_and_srm,
@@ -26,6 +25,16 @@ from portcap.simulate import (
 )
 
 SMALL = feasible_instances(max_dim=256)  # runs up to d=5 with dims <= 256
+
+
+def build_signal(ports, p):
+    """Dense normalized signal operator for one measurement outcome: the
+    reference that the factored routes are checked against."""
+    dim = simulate._check_guard(p)
+    rows, cols = simulate._signal_coords(ports, p)
+    sigma = np.zeros((dim, dim))
+    sigma[rows, cols] = 1.0 / p.d**p.N
+    return sigma
 
 
 class TestSignals:

@@ -9,7 +9,6 @@ from portcap.tableaux import (
     add_boxes,
     as_diagram,
     enumerate_diagrams,
-    skew_count_two_row,
     ssyt_count,
     syt_count,
 )
@@ -144,27 +143,3 @@ class TestBoxAddition:
         reached = dict(add_boxes(alpha, k, max_rows))
         for mu in enumerate_diagrams(sum(alpha) + k, max_rows):
             assert reached.get(mu, 0) == growth_paths_brute(alpha, mu, max_rows)
-
-
-class TestTwoRowSkewCount:
-    def test_matches_recursion_example(self):
-        assert skew_count_two_row((1,), (2, 1)) == 2
-
-    def test_rejects_equal_shapes(self):
-        with pytest.raises(ValueError):
-            skew_count_two_row((2, 1), (2, 1))
-
-    def test_rejects_non_nested(self):
-        with pytest.raises(ValueError):
-            skew_count_two_row((3,), (2, 2))
-
-    def test_determinant_vs_recursion_up_to_14_boxes(self):
-        for total in range(14):
-            for alpha in enumerate_diagrams(total, 2):
-                for k in range(1, 15 - total):
-                    reached = dict(add_boxes(alpha, k, 2))
-                    for mu in enumerate_diagrams(total + k, 2):
-                        a1, a2 = (alpha + (0, 0))[:2]
-                        m1, m2 = (mu + (0, 0))[:2]
-                        if m1 >= a1 and m2 >= a2:
-                            assert skew_count_two_row(alpha, mu) == reached.get(mu, 0)
