@@ -47,8 +47,8 @@ def _shifted_second_moment(b: float) -> float:
 def gaussian_limit(a: float) -> float:
     """Limiting success probability along k = a*sqrt(N):
     2 * integral_0^inf x^2 phi(x + a) dx, equal to 1 at a = 0 and decreasing."""
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"a must be nonnegative and finite, got {a}")
     return 2.0 * _shifted_second_moment(a)
 
 
@@ -131,18 +131,33 @@ def psucc_largeN(N: int, k: int) -> float:
     7.1e-13 at N = 1e4, 3.3e-11 at N = 25600, up to 1.1e-9 near N = 1e5 and
     9.8e-9 at N = 1e6 (k near sqrt(N)).  ``performance.psucc_qubit`` gives
     the worst-case bound.
+
+    Works in place on two arrays of (N-k)/2 + 1 floats at a time, 80 MB at
+    N = 1e7, k = 3162, where it takes about 0.2 s.
     """
     ProtocolParams(N, k)
-    two_s = np.arange((N - k) % 2, N - k + 1, 2, dtype=np.int64)
-    m = (N - k - two_s) // 2
-    m_max = int(m.max())
+    # ln C(N+1, m) for m = 0..m_max, m = (N-k)/2 - s, summed in order of m
+    m_max = (N - k) // 2
+    ln_choose = np.empty(m_max + 1)
+    ln_choose[0] = 0.0
+    ratio = ln_choose[1:]  # C(N+1, m) / C(N+1, m-1), then its log, then the sum
     idx = np.arange(1, m_max + 1, dtype=np.float64)
-    ln_choose = np.concatenate(([0.0], np.cumsum(np.log((N + 2 - idx) / idx))))
-    terms = 2.0 * np.log(two_s + 1.0) + ln_choose[m]
+    np.subtract(N + 2, idx, out=ratio)
+    np.divide(ratio, idx, out=ratio)
+    del idx
+    np.log(ratio, out=ratio)
+    np.cumsum(ratio, out=ratio)
+    # 2 ln(2s+1) + ln C(N+1, m) with s rising, so m runs down the table
+    terms = np.arange((N - k) % 2 + 1.0, N - k + 2.0, 2.0)
+    np.log(terms, out=terms)
+    terms *= 2.0
+    terms += ln_choose[::-1]
     top = float(terms.max())
+    terms -= top
+    np.exp(terms, out=terms)
     ln_p = (
         top
-        + math.log(float(np.exp(terms - top).sum()))
+        + math.log(float(terms.sum()))
         - math.log(N + 1.0)
         - N * _LN2
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from portcap.asymptotics import (
     psucc_sandwich,
     sandwich_k,
 )
+from portcap.exactmath import exp_normal
 from portcap.performance import psucc_qubit
 
 
@@ -26,6 +28,25 @@ def shifted_moment_quadrature(a: float) -> float:
     )
     assert err < 1e-11
     return val
+
+
+def reference_psucc_largeN(N: int, k: int) -> float:
+    """psucc_largeN as one whole-array expression with a temporary per step:
+    int64 spins, the gathered table ln_choose[m] and exp(terms - top)."""
+    two_s = np.arange((N - k) % 2, N - k + 1, 2, dtype=np.int64)
+    m = (N - k - two_s) // 2
+    m_max = int(m.max())
+    idx = np.arange(1, m_max + 1, dtype=np.float64)
+    ln_choose = np.concatenate(([0.0], np.cumsum(np.log((N + 2 - idx) / idx))))
+    terms = 2.0 * np.log(two_s + 1.0) + ln_choose[m]
+    top = float(terms.max())
+    ln_p = (
+        top
+        + math.log(float(np.exp(terms - top).sum()))
+        - math.log(N + 1.0)
+        - math.log(2.0) * N
+    )
+    return exp_normal(ln_p)
 
 
 class TestNormalHelpers:
@@ -61,6 +82,11 @@ class TestGaussianLimit:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             gaussian_limit(-0.5)
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_limit(a)
 
 
 class TestSandwichK:
@@ -162,3 +188,38 @@ class TestPsuccLargeN:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             psucc_largeN(10, 11)
+
+    def test_bit_identical_to_the_whole_array_expression(self):
+        # N - k of both parities and k = N; where p underflows a float (k
+        # near N beyond a few hundred ports) both must raise
+        def outcome(fn, N, k):
+            try:
+                return fn(N, k)
+            except ValueError:
+                return "underflow"
+
+        for N in (1, 2, 3, 17, 60, 61, 200, 999, 1000, 25600, 25601):
+            for k in sorted({1, 2, 3, N // 7, N // 2, N - 1, N} & set(range(1, N + 1))):
+                assert outcome(psucc_largeN, N, k) == outcome(reference_psucc_largeN, N, k), (N, k)
+
+    @pytest.mark.parametrize("N", [10**5, 10**6, 3 * 10**6, 10**7])
+    def test_bit_identical_at_the_critical_points(self, N):
+        # k = floor(sqrt(N)) as `asympt --a 1.0 --alpha 0.5` takes it, and
+        # one more for the other parity of N - k
+        k = math.isqrt(N)
+        for kk in (k, k + 1):
+            assert psucc_largeN(N, kk) == reference_psucc_largeN(N, kk), (N, kk)
+
+    def test_peak_memory_is_two_tables(self):
+        # the ln-binomial table and then the terms array, each of m_max + 1
+        # floats, with the 1..m_max index array before it; the whole-array
+        # expression holds about five such arrays at once
+        N, k = 10**7, 3162
+        m_max = (N - k) // 2
+        tracemalloc.start()
+        try:
+            psucc_largeN(N, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (m_max + 1)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from conftest import syt_count_hook
 from portcap.exactmath import ln_int, logsumexp, square_of_radical_sum
 from portcap.performance import (
+    _CELL_BUDGET,
+    _EXP_ZERO,
     _exact_result,
     _ln_binomial_table,
     fidelity_exact,
@@ -272,6 +275,41 @@ class TestQubitClosedForms:
         for N in range(1, 65):
             for k in range(1, N + 1):
                 assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+
+    def test_exp_underflows_to_exact_zero_below_the_pruning_cut(self):
+        # the log path leaves out terms whose exp is exactly 0.0; that is only
+        # exact where the platform's libm underflows there
+        assert _EXP_ZERO == -746.0
+        assert math.exp(-746.0) == 0.0
+        assert math.exp(-745.0) > 0.0
+
+    @pytest.mark.parametrize("N,k", [(3601, 1081), (2003, 61)])
+    def test_log_path_is_bit_identical_where_terms_are_pruned(self, N, k):
+        # odd N.  (3601, 1081), on the lgamma/log1p branch: 36 of its 1261
+        # spin rows and 94996 terms of the rest lie below the cut.
+        # (2003, 61), on the exact-integer branch: 151 of 972 rows do.
+        assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+
+    def test_ln_binomial_table_sums_the_ratio_recurrence_in_order(self):
+        for n, max_m in ((1, 0), (2, 1), (11, 5), (4001, 2000)):
+            table, acc = [0.0], 0.0
+            for m in range(1, max_m + 1):
+                acc += math.log(n - m + 1) - math.log(m)
+                table.append(acc)
+            assert _ln_binomial_table(n, max_m).tolist() == table
+
+    def test_log_path_memory_is_bounded_by_the_chunk_budget(self):
+        # the whole grid at (100000, 316) would take 8 * 50000 * 317 bytes,
+        # about 127 MB; the kernel keeps a few tables of N/2 + k floats and a
+        # few arrays of _CELL_BUDGET cells
+        N, k = 100000, 316
+        tracemalloc.start()
+        try:
+            fidelity_qubit(N, k, arith="log")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (6 * (N // 2 + k + 1) + 5 * _CELL_BUDGET)
 
     def test_psucc_log_path_within_its_bound_on_overlap_window(self):
         for N in range(40, 201, 16):
