@@ -6,9 +6,11 @@ port counts; a log-space float path keeps the same quantities computable when
 the factorials involved overflow any fixed-width type.  The overlap window is
 cross-validated by the test suite.
 
-Square roots of integers are handled exactly when the radicand is a perfect
-square and otherwise as dyadic rationals with 128 guard bits, so sums of
-radical terms come with a certified relative error far below 1e-15.
+Squares of radical sums (sum_i c_i sqrt(R_i))**2 are exact rationals when
+every pair product R_i R_j is a perfect square, which n - 1 integer square
+roots decide.  Otherwise every sqrt(R_i) becomes one dyadic root with 128
+guard bits, so the square lies below the true value by a relative error
+under 2**-127, whatever the number of terms.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Iterable, Sequence
 _LN2 = math.log(2.0)
 _LN_MIN_NORMAL = math.log(sys.float_info.min)
 
-# Guard bits for dyadic square-root approximations (relative error <= 2**-128).
-_SQRT_GUARD_BITS = 128
+# Radicands are scaled by 2**256 before their integer square root is taken,
+# which leaves 128 guard bits below the root's binary point.
+_SQRT_SHIFT = 256
 
 
 def ln_int(x: int) -> float:
@@ -35,37 +38,52 @@ def ln_int(x: int) -> float:
     return math.log(x >> shift) + shift * _LN2
 
 
-def square_of_radical_sum(terms: Sequence[tuple[int, int]]) -> tuple[Fraction, bool]:
+def square_of_radical_sum(
+    terms: Sequence[tuple[int, int]], roots: dict[int, int] | None = None
+) -> tuple[Fraction, bool]:
     """(sum_i c_i * sqrt(R_i))**2 for nonnegative integer coefficients and radicands.
 
-    Expanding the square leaves only pairwise products sqrt(R_i * R_j); each is
-    extracted exactly when the product is a perfect square.  The returned flag
-    is True iff every surviving cross term was exact, in which case the result
-    is the true rational value.  Otherwise the result carries a certified
-    relative error below len(terms)**2 * 2**-128 (all terms are nonnegative,
-    so no cancellation amplifies it).
+    Terms with c_i = 0 or R_i = 0 are dropped after validation.  Every pair
+    product R_i R_j of the rest is a perfect square iff R_0 R_i is one for
+    every i, since R_0**2 R_i R_j is then a square.  Up to n - 1 integer
+    square roots, stopping at the first non-square, decide which case holds:
 
-    Every term is an integer multiple of 2**-128: c_i**2 R_i is an integer and
-    each cross root is isqrt(R_i R_j 2**256) / 2**128, which is exact iff its
-    square gives R_i R_j 2**256 back.  The numerators are summed as integers.
+    * all squares: with t_i = sqrt(R_0 R_i), the result is the true rational
+      (sum_i c_i t_i)**2 / R_0 and the flag is True;
+    * otherwise each radicand gets one floored root r_i = isqrt(R_i 2**256),
+      the result is (sum_i c_i r_i)**2 / 2**256 and the flag is False.
+      Each r_i / 2**128 lies less than 2**-128 below sqrt(R_i) >= 1, and all
+      terms are nonnegative, so the result lies below the true value by a
+      relative error under 2**-127, whatever the number of terms.
+
+    ``roots`` caches r_i by R_i.  Callers that repeat radicands across calls
+    pass one dict for the duration of their own computation.
     """
     for c, r in terms:
         if c < 0 or r < 0:
             raise ValueError("coefficients and radicands must be nonnegative")
     live = [(c, r) for c, r in terms if c != 0 and r != 0]
-    shift = 2 * _SQRT_GUARD_BITS
+    if not live:
+        return Fraction(0), True
+    r0 = live[0][1]
     num = 0
-    exact = True
-    for i, (ci, ri) in enumerate(live):
-        ri_scaled = ri << shift
-        cross = 0
-        for cj, rj in live[i + 1 :]:
-            x = ri_scaled * rj
-            root = math.isqrt(x)
-            cross += cj * root
-            exact = exact and root * root == x
-        num += (ci * ci * ri << _SQRT_GUARD_BITS) + 2 * ci * cross
-    return Fraction(num, 1 << _SQRT_GUARD_BITS), exact
+    for c, r in live:
+        x = r0 * r
+        root = math.isqrt(x)
+        if root * root != x:
+            break
+        num += c * root
+    else:
+        return Fraction(num * num, r0), True
+    if roots is None:
+        roots = {}
+    num = 0
+    for c, r in live:
+        root = roots.get(r)
+        if root is None:
+            root = roots[r] = math.isqrt(r << _SQRT_SHIFT)
+        num += c * root
+    return Fraction(num * num, 1 << _SQRT_SHIFT), False
 
 
 def logsumexp(values: Iterable[float]) -> float:

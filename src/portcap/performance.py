@@ -77,8 +77,11 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
 
     The result is a reduced rational whenever every cross term
     sqrt(m_mu d_mu m_mu' d_mu') is a perfect square (always true when each
-    diagram block contains a single reachable mu); otherwise the float carries
-    a certified relative error below 1e-15.
+    diagram block contains a single reachable mu).  Otherwise each block's
+    square lies below its true value by a relative error under 2**-127 (see
+    ``square_of_radical_sum``), so the sum does too, and the float is the
+    true value rounded to nearest unless a rounding boundary lies within
+    that error of it.
     """
     ProtocolParams(N, k, d)
     # Over d rows padded with zeros, l_i = mu_i + d - i and
@@ -101,9 +104,10 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
 
     total = Fraction(0)
     all_exact = True
+    roots: dict[int, int] = {}  # m_mu d_mu recurs across the blocks alpha
     for alpha in enumerate_diagrams(N - k, d):
         terms = [(paths, radicand(mu)) for mu, paths in add_boxes(alpha, k, d)]
-        block, ok = square_of_radical_sum(terms)
+        block, ok = square_of_radical_sum(terms, roots=roots)
         total += block
         all_exact = all_exact and ok
     return _exact_result(total / Fraction(d) ** (N + 2 * k), "schur-weyl-sum", all_exact)
@@ -177,6 +181,7 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
         choose_n = [math.comb(N + 1, m) for m in range(N // 2 + 1)]
         total = Fraction(0)
         all_exact = True
+        roots: dict[int, int] = {}  # C(N+1, m) recurs across the blocks s
         for two_s in _two_s_range(N, k):
             terms = []
             for two_j in _two_j_range(N, two_s, k):
@@ -184,7 +189,7 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
                 hi = (two_s + two_j + k) // 2 + 1
                 h = choose_k[lo] - choose_k[hi] if hi <= k else choose_k[lo]
                 terms.append((h * (two_j + 1), choose_n[(N - two_j) // 2]))
-            block, ok = square_of_radical_sum(terms)
+            block, ok = square_of_radical_sum(terms, roots=roots)
             total += block
             all_exact = all_exact and ok
         value = total / (Fraction(2) ** (N + 2 * k) * (N + 1))

@@ -39,6 +39,14 @@ def reference_square_of_radical_sum(terms):
     return total, exact
 
 
+def guarded_radical_sum_bounds(terms):
+    """Rationals lo <= (sum_i c_i sqrt(R_i))**2 <= hi from roots with 512
+    guard bits: hi / lo - 1 is about 2**-511."""
+    floor = sum(c * math.isqrt(r << 1024) for c, r in terms if r)
+    ceil = floor + sum(c for c, r in terms if r)
+    return Fraction(floor * floor, 1 << 1024), Fraction(ceil * ceil, 1 << 1024)
+
+
 # radicands q*s**2 with squarefree q make R_i*R_j a perfect square whenever
 # the two share q
 _radicands = st.one_of(
@@ -94,7 +102,49 @@ class TestRadicals:
     @example([(3, 8), (5, 18), (0, 7), (2, 0)])
     @example([(1, 2), (1, 3), (4, 12)])
     def test_matches_fraction_sum_reference(self, terms):
-        assert square_of_radical_sum(terms) == reference_square_of_radical_sum(terms)
+        total, exact = square_of_radical_sum(terms)
+        ref_total, ref_exact = reference_square_of_radical_sum(terms)
+        assert exact == ref_exact
+        if exact:
+            assert total == ref_total
+        else:
+            lo, hi = guarded_radical_sum_bounds(terms)
+            assert total <= lo
+            assert total >= (1 - Fraction(1, 2**127)) * hi
+
+    def test_all_pairs_square_but_not_the_first_radicand(self):
+        # sqrt(2) + 3 sqrt(8) + sqrt(18) = 10 sqrt(2)
+        assert square_of_radical_sum([(1, 2), (3, 8), (1, 18)]) == (200, True)
+
+    @pytest.mark.parametrize(
+        "terms,merged",
+        [
+            ([(2, 3), (5, 7), (1, 3)], [(3, 3), (5, 7)]),
+            ([(2, 3), (1, 3)], [(3, 3)]),
+            ([(1, 8), (4, 50), (7, 8)], [(8, 8), (4, 50)]),
+        ],
+    )
+    def test_repeated_radicand_adds_its_coefficients(self, terms, merged):
+        assert square_of_radical_sum(terms) == square_of_radical_sum(merged)
+
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 2**16), _radicands), max_size=6),
+                    max_size=6))
+    def test_shared_roots_match_fresh_roots(self, lists):
+        roots = {}
+        for terms in lists:
+            assert square_of_radical_sum(terms, roots=roots) == square_of_radical_sum(terms)
+
+    @pytest.mark.parametrize(
+        "terms,expected",
+        [
+            ([(0, 5), (3, 0), (2, 9)], (36, True)),
+            ([(5, 0), (1, 2), (1, 8)], (18, True)),
+            ([(0, 2), (1, 3)], (3, True)),
+            ([(0, 0), (0, 7), (4, 0)], (0, True)),
+        ],
+    )
+    def test_zero_terms_skipped_after_validation(self, terms, expected):
+        assert square_of_radical_sum(terms) == expected
 
     @given(
         st.lists(

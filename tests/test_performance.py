@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -203,6 +204,53 @@ class TestAgainstReferenceSums:
     @pytest.mark.parametrize("N", [100, 201])
     def test_psucc_single_qutrit_at_large_n(self, N):
         assert psucc_exact(N, 1, 3) == reference_psucc_exact(N, 1, 3)
+
+
+def mpmath_rounded(x):
+    """The double nearest an mpf: its binary mantissa and exponent as an
+    exact Fraction, which float() rounds to nearest."""
+    man, exp = x.man_exp
+    return float(Fraction(man) * Fraction(2) ** exp)
+
+
+class TestCorrectRounding:
+    """Exact-path floats against 60-digit mpmath sums with their own square
+    roots: the float is the true value rounded to the nearest double."""
+
+    def test_fidelity_exact_on_small_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        points = random.Random(20201).sample(list(small_grid()), 40)
+        with mpmath.workdps(60):
+            for N, k, d in points:
+                ref = mpmath.mpf(0)
+                for alpha in enumerate_diagrams(N - k, d):
+                    inner = mpmath.fsum(
+                        paths * mpmath.sqrt(ssyt_count(mu, d) * syt_count_hook(mu))
+                        for mu, paths in add_boxes(alpha, k, d))
+                    ref += inner * inner
+                ref /= mpmath.mpf(d) ** (N + 2 * k)
+                res = fidelity_exact(N, k, d)
+                assert res.value == mpmath_rounded(ref), (N, k, d)
+                assert abs(res.value - ref) <= res.rel_err_bound * ref, (N, k, d)
+
+    @pytest.mark.parametrize("N", [50, 120, 200])
+    def test_fidelity_qubit_exact(self, N):
+        mpmath = pytest.importorskip("mpmath")
+        ks = random.Random(N).sample(range(1, 9), 4)
+        with mpmath.workdps(60):
+            for k in ks:
+                ref = mpmath.mpf(0)
+                for two_s in range((N - k) % 2, N - k + 1, 2):
+                    inner = mpmath.fsum(
+                        spin_path_count(two_s, two_j, k) * (two_j + 1)
+                        * mpmath.sqrt(math.comb(N + 1, (N - two_j) // 2))
+                        for two_j in range(max(N % 2, two_s - k), two_s + k + 1, 2))
+                    ref += inner * inner
+                ref /= mpmath.mpf(2) ** (N + 2 * k) * (N + 1)
+                res = fidelity_qubit(N, k, "exact")
+                assert res.arith == "exact", (N, k)
+                assert res.value == mpmath_rounded(ref), (N, k)
+                assert abs(res.value - ref) <= res.rel_err_bound * ref, (N, k)
 
 
 class TestPsuccExact:
