@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -283,6 +284,17 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ verify --
 
 
+# Side of the tiles in which ``_trace_of_square`` reads a matrix.
+_TILE = 64
+
+
+def _trace_of_square(a: np.ndarray) -> float:
+    """tr(a a) = sum_ij a_ij a_ji, one pair of _TILE x _TILE tiles at a time,
+    so that the transposed operand is read from cache, with no temporary."""
+    tiles = [slice(i, i + _TILE) for i in range(0, len(a), _TILE)]
+    return math.fsum(float(np.einsum("ij,ji->", a[s, t], a[t, s])) for s in tiles for t in tiles)
+
+
 def _verify_checks(max_dim: int):
     """Yield (name, N, k, d, callable) verification checks up to max_dim."""
     # Pairwise-overlap sums against the closed trace formula, exact integers.
@@ -316,8 +328,10 @@ def _verify_checks(max_dim: int):
 
     instances = simulate.feasible_instances(max_dim=max_dim)
     for p in instances:
-        # the dense pipeline (signal sum, eigensolve, per-outcome traces) is
-        # the expensive part; compute it once per instance, checks share it
+        # the dense pipeline is the expensive part: the signal sum from
+        # batched coordinate tables, the weight-block eigensolve, and every
+        # outcome's trace from batched group tables.  It runs once per
+        # instance; the checks share it, and the POVM check reuses its rho.
         @functools.cache
         def pipeline(p=p):
             rho = simulate.signal_sum(p)
@@ -325,10 +339,10 @@ def _verify_checks(max_dim: int):
 
         def purity(p=p, pipeline=pipeline) -> bool:
             rho, _ = pipeline()
-            rho_bar = rho / np.trace(rho)
-            lhs = float((rho_bar * rho_bar.T).sum())
+            trace = np.trace(rho)
+            lhs = _trace_of_square(rho) / trace**2
             rhs = float(bounds.trace_rho_bar_squared(p.N, p.k, p.d))
-            return abs(lhs - rhs) <= 1e-10 and abs(np.trace(rho) - p.num_signals) <= 1e-9
+            return abs(lhs - rhs) <= 1e-10 and abs(trace - p.num_signals) <= 1e-9
 
         yield ("signal-sum-purity", p.N, p.k, p.d, purity)
 
@@ -357,10 +371,10 @@ def _verify_checks(max_dim: int):
 
         if p.d**p.n <= min(max_dim, 512):
 
-            def povm_valid(p=p) -> bool:
+            def povm_valid(p=p, pipeline=pipeline) -> bool:
                 # Pi = F F^T shares its nonzero spectrum with F^T F; a
                 # full-rank rho leaves an empty kernel factor
-                _, factors = simulate.rho_and_srm(p)
+                _, factors = simulate.rho_and_srm(p, rho=pipeline()[0])
                 W = np.hstack(factors)
                 if np.abs(W @ W.T - np.eye(W.shape[0])).max() > 1e-10:
                     return False
@@ -375,6 +389,11 @@ def _verify_checks(max_dim: int):
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_dim > simulate.DIM_GUARD:
         raise ValueError(f"max-dim must be <= {simulate.DIM_GUARD}")
+    if args.max_dim < 8:
+        raise ValueError(
+            "max-dim must be >= 8: the smallest dense instance, "
+            "(N, k, d) = (2, 1, 2), has d**(N+k) = 8"
+        )
     failures = 0
     total = 0
     print("check,N,k,d,status,seconds")

@@ -8,13 +8,20 @@ are built directly as tensor products of maximally entangled projectors with
 identities, an independent route from the permutation-operator algebra used
 by ``bounds.pairwise_signal_trace``.
 
+Every outcome is handled through per-instance tables built in batched numpy
+passes, a chunk of outcomes at a time under a fixed cell budget: one table
+holds every outcome's nonzero coordinates, one every outcome's row groups.
+Each signal has rank d**(N-k): it is 1/d^N times a sum of all-ones blocks
+over d**(N-k) groups of d**k rows, checked exactly, in integers, against the
+coordinates of every outcome.
+
 The signal sum rho is dense and diagonalized block by block, one block per
 U(1)^d weight of the basis indices, with the block structure checked exactly
-against rho's nonzeros.  Each signal has rank d**(N-k): it is 1/d^N times a
-sum of all-ones blocks over d**(N-k) groups of d**k rows, checked exactly
-against its coordinates.  The per-outcome traces and the square-root
-measurement are computed from that factor, so no per-outcome
-d**(N+k) x d**(N+k) matrix is formed.
+against rho's nonzeros.  Every row of a group has the same weight, also
+checked in integers, so the per-outcome traces read rho^(-1/2) one weight
+block at a time.  The traces and the square-root measurement are computed
+from the group factor, so no per-outcome d**(N+k) x d**(N+k) matrix is
+formed.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -32,6 +39,10 @@ from .core import ProtocolParams
 DIM_GUARD = 4096
 SUPPORT_RTOL = 1e-12
 
+# Index cells per batch of outcomes: bounds the coordinate tables' and the
+# trace gathers' working memory at any dimension.
+_CELL_BUDGET = 1 << 17
+
 
 def all_port_tuples(N: int, k: int) -> list[tuple[int, ...]]:
     """All k! C(N,k) ordered tuples of k distinct ports, in lexicographic order."""
@@ -47,10 +58,21 @@ def _check_guard(p: ProtocolParams) -> int:
     return dim
 
 
+def _outcome_chunks(p: ProtocolParams) -> list[np.ndarray]:
+    """Every outcome's port tuple, as rows of int arrays in ``all_port_tuples``
+    order, split so that each chunk's coordinate table holds at most
+    _CELL_BUDGET cells (at least one outcome per chunk)."""
+    tuples = np.array(all_port_tuples(p.N, p.k), dtype=np.int64)
+    step = max(1, _CELL_BUDGET // p.d**p.n)
+    return [tuples[i : i + step] for i in range(0, len(tuples), step)]
+
+
 def _signal_coords(
-    ports: tuple[int, ...], p: ProtocolParams
+    ports: np.ndarray, p: ProtocolParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the d**(N+k) nonzero entries of a signal.
+    """Row/column indices of the d**(N+k) nonzero entries of each outcome's
+    signal, shape (outcomes, d**(N+k)) each, for port tuples given as the
+    rows of ``ports``.
 
     A basis vector factors as |x> on the ports and |u> on the slots.  The
     signal (1/d^N) 1_(other ports) x phi+ (paired port/slot systems) connects
@@ -59,60 +81,81 @@ def _signal_coords(
     equal to 1/d^N.
     """
     N, k, d = p.N, p.k, p.d
-    if len(ports) != k or len(set(ports)) != k or any(not 1 <= q <= N for q in ports):
-        raise ValueError(f"ports must be {k} distinct indices in [1, {N}], got {ports}")
+    ports = np.asarray(ports, dtype=np.int64)
+    if ports.ndim != 2 or ports.shape[1] != k:
+        raise ValueError(f"ports must be rows of {k} indices, got shape {ports.shape}")
+    ordered = np.sort(ports, axis=1)
+    if (ordered[:, 0] < 1).any() or (ordered[:, -1] > N).any() or (
+        np.diff(ordered, axis=1) == 0
+    ).any():
+        raise ValueError(f"ports must be {k} distinct indices in [1, {N}]")
     da, db = d**N, d**k
-    port_weights = [d ** (N - q) for q in ports]
-    slot_weights = [d ** (k - 1 - t) for t in range(k)]
+    port_weights = d ** (N - ports)  # (outcomes, k)
+    slot_weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
     x = np.arange(da, dtype=np.int64)
-    digits = [(x // w) % d for w in port_weights]
-    u = sum(dig * sw for dig, sw in zip(digits, slot_weights))
-    base = x - sum(dig * w for dig, w in zip(digits, port_weights))
-    rows = np.repeat(x * db + u, db)
+    digits = x // port_weights[:, :, None] % d  # (outcomes, k, da)
+    u = np.einsum("otx,t->ox", digits, slot_weights)
+    base = x - np.einsum("otx,ot->ox", digits, port_weights)
+    rows = np.repeat(x * db + u, db, axis=1)
 
     w_all = np.arange(db, dtype=np.int64)
-    wdigits = [(w_all // sw) % d for sw in slot_weights]
-    y_offsets = sum(wd * pw for wd, pw in zip(wdigits, port_weights))
-    cols = (base[:, None] * db + (y_offsets * db + w_all)[None, :]).reshape(-1)
-    return rows, cols
+    y_offsets = port_weights @ (w_all // slot_weights[:, None] % d)  # (outcomes, db)
+    cols = base[:, :, None] * db + (y_offsets * db + w_all)[:, None, :]
+    return rows, cols.reshape(len(ports), -1)
 
 
 def signal_sum(p: ProtocolParams) -> np.ndarray:
-    """Sum of all normalized signals (trace k! C(N,k))."""
+    """Sum of all normalized signals (trace k! C(N,k)), accumulated from the
+    coordinate tables one chunk of outcomes at a time."""
     dim = _check_guard(p)
     rho = np.zeros((dim, dim))
+    flat = rho.reshape(-1)
     val = 1.0 / p.d**p.N
-    for ports in all_port_tuples(p.N, p.k):
+    for ports in _outcome_chunks(p):
         rows, cols = _signal_coords(ports, p)
-        np.add.at(rho, (rows, cols), val)
+        np.add.at(flat, (rows * dim + cols).reshape(-1), val)
     return rho
 
 
-def _signal_groups(ports: tuple[int, ...], p: ProtocolParams) -> np.ndarray:
-    """Row groups of a signal, shape (d**(N-k), d**k): sigma = v * sum_g 1_g 1_g^T
-    with v = 1/d^N, so sigma = v G G^T for the 0/1 indicator G of the groups.
+def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np.ndarray:
+    """Row groups of each outcome's signal, shape (outcomes, d**(N-k), d**k):
+    sigma_i = v * sum_g 1_g 1_g^T with v = 1/d^N, so sigma_i = v G_i G_i^T for
+    the 0/1 indicator G_i of outcome i's groups.
 
     A row's group is the set of its columns.  The factorization is checked
-    exactly, in integers, against ``_signal_coords``: each of the d**N rows
-    carries d**k entries, and its column set equals its group's row set.
+    exactly, in integers, against ``_signal_coords`` for every outcome: each
+    of the d**N rows carries d**k entries, and its column set equals its
+    group's row set.  All rows of a group must share one U(1)^d weight key
+    (``keys``, from ``_weight_keys``): a group's paired port and slot digits
+    cancel, leaving the weight of its unpaired port digits.  Each outcome's
+    groups are returned in increasing key, and every outcome must carry the
+    same sequence of keys; otherwise ValueError.
     """
     rows, cols = _signal_coords(ports, p)
-    db = p.d**p.k
-    if rows.size != p.d**p.N * db:
-        raise ValueError(f"signal {ports} has {rows.size} entries, expected {p.d**p.N * db}")
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order].reshape(-1, db), cols[order].reshape(-1, db)
-    row_ids = rows[:, 0]
-    by_group = np.lexsort((row_ids, cols[:, 0]))
-    groups = row_ids[by_group].reshape(-1, db)
-    exact = (
-        (rows == row_ids[:, None]).all()
-        and np.unique(row_ids).size == row_ids.size
-        and (cols[by_group].reshape(groups.shape + (db,)) == groups[:, None, :]).all()
-    )
+    n, dim, db = len(ports), p.d**p.n, p.d**p.k
+    if rows.shape != (n, dim) or cols.shape != (n, dim):
+        raise ValueError(f"signals have {rows.shape[1:]} entries, expected {dim} each")
+    # entries in (row, column) order, in runs of d**k read as rows: a run
+    # that spans two rows has a column >= dim, which no group holds
+    entries = np.sort(rows * dim + cols, axis=1).reshape(n, -1, db)
+    row_ids = entries[:, :, 0] // dim
+    cols = entries - (row_ids * dim)[:, :, None]
+    by_group = np.argsort(cols[:, :, 0] * dim + row_ids, axis=1)
+    groups = np.take_along_axis(row_ids, by_group, axis=1).reshape(n, -1, db)
+    # every row's columns, the rows in group order (a flat gather of rows)
+    flat_rows = by_group + np.arange(n)[:, None] * by_group.shape[1]
+    grouped_cols = cols.reshape(-1, db)[flat_rows].reshape(groups.shape + (db,))
+    exact = (np.diff(row_ids, axis=1) > 0).all() and (grouped_cols == groups[:, :, None, :]).all()
     if not exact:
-        raise ValueError(f"signal {ports} is not a sum of all-ones blocks over row groups")
+        raise ValueError("signals are not sums of all-ones blocks over row groups")
+    group_keys = keys[groups]
+    if (group_keys != group_keys[:, :, :1]).any():
+        raise ValueError("a signal group spans two U(1)^d weights")
+    order = np.argsort(group_keys[:, :, 0], axis=1, kind="stable")
+    groups = np.take_along_axis(groups, order[:, :, None], axis=1)
+    if (keys[groups[:, :, 0]] != keys[groups[:1, :, 0]]).any():
+        raise ValueError("outcomes differ in the U(1)^d weights of their groups")
     return groups
 
 
@@ -134,6 +177,12 @@ def _weight_keys(p: ProtocolParams) -> np.ndarray:
     return keys
 
 
+def _weight_blocks(keys: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of each weight, in increasing key and increasing index."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
 def _inverse_sqrt_on_support(
     rho: np.ndarray, p: ProtocolParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +201,7 @@ def _inverse_sqrt_on_support(
     dim = p.d**p.n
     if rho.shape != (dim, dim):
         raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
-    keys = _weight_keys(p)
-    order = np.argsort(keys, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    blocks = _weight_blocks(_weight_keys(p))
     subs = [rho[np.ix_(b, b)] for b in blocks]
     if sum(np.count_nonzero(s) for s in subs) != np.count_nonzero(rho):
         raise ValueError("rho connects basis indices of different U(1)^d weight")
@@ -172,7 +219,9 @@ def _inverse_sqrt_on_support(
     return inv_sqrt, kernel
 
 
-def rho_and_srm(p: ProtocolParams) -> tuple[np.ndarray, list[np.ndarray]]:
+def rho_and_srm(
+    p: ProtocolParams, rho: np.ndarray | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """The signal sum and the square-root-measurement POVM in factored form.
 
     The returned list holds one dim x d**(N-k) factor F_i = sqrt(v) S G_i per
@@ -180,15 +229,17 @@ def rho_and_srm(p: ProtocolParams) -> tuple[np.ndarray, list[np.ndarray]]:
     and Pi_i = F_i F_i^T, plus an orthonormal basis K of rho's kernel as the
     final failure element K K^T.  With W the factors side by side, W W^T is
     the identity.  No dim x dim element is formed.
+    ``rho`` may be passed in when the caller already built the signal sum.
     """
-    rho = signal_sum(p)
+    if rho is None:
+        rho = signal_sum(p)
     inv_sqrt, kernel = _inverse_sqrt_on_support(rho, p)
+    keys = _weight_keys(p)
     scale = math.sqrt(1.0 / p.d**p.N)
-    # S is symmetric, so S G_i is the transpose of S's rows summed per group
-    factors = [
-        scale * inv_sqrt[_signal_groups(ports, p)].sum(axis=1).T
-        for ports in all_port_tuples(p.N, p.k)
-    ]
+    factors = []
+    for ports in _outcome_chunks(p):
+        # S is symmetric, so S G_i is the transpose of S's rows summed per group
+        factors += [scale * inv_sqrt[g].sum(axis=1).T for g in _signal_groups(ports, p, keys)]
     factors.append(kernel)
     return rho, factors
 
@@ -199,23 +250,43 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
     With sigma_i = v G_i G_i^T (v = 1/d^N, see ``_signal_groups``) and
     S = rho^(-1/2),
 
-        tr(S sigma_i S sigma_i) = v^2 * ||G_i^T S G_i||_F^2,
+        tr(S sigma_i S sigma_i) = v^2 * ||G_i^T S G_i||_F^2.
 
-    where G_i^T S G_i sums the d**N signal rows of S per group, then those
-    sums' columns per group: d**(2N+k) reads per outcome instead of a
-    d**(N+k) x d**(N+k) gather.
-    ``rho`` may be passed in when the caller already built the signal sum.
+    S only connects indices of equal U(1)^d weight, and each group lies in
+    one weight, so G_i^T S G_i is block diagonal: for each weight it sums the
+    n x n group pairs' d**k x d**k blocks of S, (n d**k)^2 reads for the n
+    groups of that weight.  Outcomes are batched, at most _CELL_BUDGET reads
+    at a time.  ``rho`` may be passed in when the caller already built the
+    signal sum.
     """
     if rho is None:
         rho = signal_sum(p)
     inv_sqrt, _ = _inverse_sqrt_on_support(rho, p)
+    keys = _weight_keys(p)
+    # each weight block of S, and every index's position inside its block
+    local = np.empty_like(keys)
+    blocks = {}
+    for b in _weight_blocks(keys):
+        local[b] = np.arange(b.size)
+        blocks[keys[b[0]]] = inv_sqrt[np.ix_(b, b)]
+    db = p.d**p.k
     v = 1.0 / p.d**p.N
     out = []
-    for ports in all_port_tuples(p.N, p.k):
-        groups = _signal_groups(ports, p)
-        block = inv_sqrt[groups].sum(axis=1)[:, groups].sum(axis=2)
-        out.append(v * v * float(np.einsum("ij,ij->", block, block)))
-    return np.array(out)
+    for ports in _outcome_chunks(p):
+        groups = _signal_groups(ports, p, keys)
+        first = keys[groups[0, :, 0]]
+        squares = np.zeros(len(ports))
+        for run in np.split(np.arange(first.size), np.flatnonzero(np.diff(first)) + 1):
+            block = blocks[first[run[0]]]
+            idx = local[groups[:, run]].reshape(len(ports), -1)
+            step = max(1, _CELL_BUDGET // idx.shape[1] ** 2)
+            for lo in range(0, len(ports), step):
+                part = idx[lo : lo + step]
+                pairs = block.take(part[:, :, None] * len(block) + part[:, None, :])
+                sums = pairs.reshape(len(part), run.size, db, run.size, db).sum(axis=(2, 4))
+                squares[lo : lo + step] += np.einsum("oij,oij->o", sums, sums)
+        out.append(v * v * squares)
+    return np.concatenate(out)
 
 
 def srm_fidelity(p: ProtocolParams) -> float:
@@ -233,8 +304,9 @@ def pairwise_trace_matrix(
     a: tuple[int, ...], b: tuple[int, ...], p: ProtocolParams
 ) -> float:
     """tr(sigma_a sigma_b) straight from the nonzero coordinate lists."""
-    ra, ca = _signal_coords(a, p)
-    rb, cb = _signal_coords(b, p)
+    if len(a) != p.k or len(b) != p.k:
+        raise ValueError(f"port tuples must have {p.k} entries, got {a} and {b}")
+    (ra, rb), (ca, cb) = _signal_coords(np.array([a, b]), p)
     va = {(int(r), int(c)) for r, c in zip(ra, ca)}
     hits = sum((int(c), int(r)) in va for r, c in zip(rb, cb))
     return hits / float(p.d ** (2 * p.N))

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from portcap import cli
 from portcap.cli import main
 
 
@@ -214,6 +216,21 @@ class TestVerifyCommand:
     def test_max_dim_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--max-dim", "8192")
         assert code == 2
+
+    def test_max_dim_below_the_smallest_instance_is_rejected(self, capsys):
+        # below 8 no dense instance runs, so "all checks passed" would be vacuous
+        for value in ("-5", "0", "7"):
+            code, out, err = run_cli(capsys, "verify", "--max-dim", value)
+            assert code == 2 and out == ""
+            assert "(2, 1, 2)" in err
+        code, out, _ = run_cli(capsys, "verify", "--max-dim", "8")
+        assert code == 0 and "signal-sum-purity,2,1,2,PASS" in out
+
+    def test_tiled_trace_of_square_matches_the_matrix_product(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 63, 64, 150):
+            a = rng.standard_normal((n, n))
+            assert cli._trace_of_square(a) == pytest.approx(np.trace(a @ a), rel=1e-12, abs=1e-12)
 
 
 class TestDeterminism:

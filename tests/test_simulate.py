@@ -27,11 +27,58 @@ from portcap.simulate import (
 SMALL = feasible_instances(max_dim=256)  # runs up to d=5 with dims <= 256
 
 
+def reference_coords(ports, p):
+    """Row/column indices of one signal's d**(N+k) nonzeros, built one port
+    tuple at a time: the reference for the batched coordinate tables."""
+    N, k, d = p.N, p.k, p.d
+    if len(ports) != k or len(set(ports)) != k or any(not 1 <= q <= N for q in ports):
+        raise ValueError(f"ports must be {k} distinct indices in [1, {N}], got {ports}")
+    da, db = d**N, d**k
+    port_weights = [d ** (N - q) for q in ports]
+    slot_weights = [d ** (k - 1 - t) for t in range(k)]
+
+    x = np.arange(da, dtype=np.int64)
+    digits = [(x // w) % d for w in port_weights]
+    u = sum(dig * sw for dig, sw in zip(digits, slot_weights))
+    base = x - sum(dig * w for dig, w in zip(digits, port_weights))
+    rows = np.repeat(x * db + u, db)
+
+    w_all = np.arange(db, dtype=np.int64)
+    wdigits = [(w_all // sw) % d for sw in slot_weights]
+    y_offsets = sum(wd * pw for wd, pw in zip(wdigits, port_weights))
+    cols = (base[:, None] * db + (y_offsets * db + w_all)[None, :]).reshape(-1)
+    return rows, cols
+
+
+def reference_groups(ports, p):
+    """Row groups of one signal, shape (d**(N-k), d**k), ordered by their
+    smallest row, each row's column set checked against its group."""
+    rows, cols = reference_coords(ports, p)
+    db = p.d**p.k
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order].reshape(-1, db), cols[order].reshape(-1, db)
+    row_ids = rows[:, 0]
+    by_group = np.lexsort((row_ids, cols[:, 0]))
+    groups = row_ids[by_group].reshape(-1, db)
+    assert (rows == row_ids[:, None]).all() and np.unique(row_ids).size == row_ids.size
+    assert (cols[by_group].reshape(groups.shape + (db,)) == groups[:, None, :]).all()
+    return groups
+
+
+def all_tuples(p):
+    return np.array(all_port_tuples(p.N, p.k))
+
+
+def group_table(p):
+    """The batched group table of every outcome of p, in one batch."""
+    return simulate._signal_groups(all_tuples(p), p, simulate._weight_keys(p))
+
+
 def build_signal(ports, p):
     """Dense normalized signal operator for one measurement outcome: the
     reference that the factored routes are checked against."""
     dim = simulate._check_guard(p)
-    rows, cols = simulate._signal_coords(ports, p)
+    rows, cols = reference_coords(ports, p)
     sigma = np.zeros((dim, dim))
     sigma[rows, cols] = 1.0 / p.d**p.N
     return sigma
@@ -72,10 +119,13 @@ class TestSignals:
 
     def test_bad_tuple_rejected(self):
         p = ProtocolParams(4, 2, 2)
+        for bad in [(1, 1), (0, 2), (2, 5), (1, 2, 3), (1,)]:
+            with pytest.raises(ValueError):
+                pairwise_trace_matrix(bad, (1, 2), p)
+            with pytest.raises(ValueError):
+                pairwise_trace_matrix((1, 2), bad, p)
         with pytest.raises(ValueError):
-            build_signal((1, 1), p)
-        with pytest.raises(ValueError):
-            build_signal((0, 2), p)
+            simulate._signal_coords(np.array([[1, 2], [3, 3]]), p)
 
 
 class TestSignalSum:
@@ -178,40 +228,128 @@ class TestSrm:
 class TestSignalFactorization:
     def test_groups_reproduce_the_signal_exactly(self):
         for p in [ProtocolParams(3, 1, 2), ProtocolParams(4, 2, 2), ProtocolParams(3, 2, 3)]:
-            for ports in all_port_tuples(p.N, p.k):
-                groups = simulate._signal_groups(ports, p)
-                assert groups.shape == (p.d ** (p.N - p.k), p.d**p.k)
+            table = group_table(p)
+            assert table.shape == (p.num_signals, p.d ** (p.N - p.k), p.d**p.k)
+            for ports, groups in zip(all_port_tuples(p.N, p.k), table):
                 indicator = np.zeros((p.d**p.n, len(groups)))
                 indicator[groups, np.arange(len(groups))[:, None]] = 1.0
                 sigma = indicator @ indicator.T / p.d**p.N
                 assert np.array_equal(sigma, build_signal(ports, p)), (p, ports)
 
+    def test_tables_match_the_per_tuple_reference(self):
+        for p in SMALL:
+            rows, cols = simulate._signal_coords(all_tuples(p), p)
+            table = group_table(p)
+            keys = simulate._weight_keys(p)
+            for i, ports in enumerate(all_port_tuples(p.N, p.k)):
+                ref_rows, ref_cols = reference_coords(ports, p)
+                assert np.array_equal(rows[i], ref_rows) and np.array_equal(cols[i], ref_cols)
+                groups = table[i]
+                # the table orders groups by weight key, the reference by smallest row
+                assert (np.diff(keys[groups[:, 0]]) >= 0).all()
+                by_row = groups[np.argsort(groups[:, 0])]
+                assert np.array_equal(by_row, reference_groups(ports, p)), (p, ports)
+
     def test_dropped_coordinate_is_rejected(self, monkeypatch):
         coords = simulate._signal_coords
         monkeypatch.setattr(
             simulate, "_signal_coords",
-            lambda ports, p: tuple(a[1:] for a in coords(ports, p)),
+            lambda ports, p: tuple(a[:, 1:] for a in coords(ports, p)),
         )
-        with pytest.raises(ValueError):
-            simulate._signal_groups((1, 2), ProtocolParams(4, 2, 2))
-        with pytest.raises(ValueError):
-            srm_signal_traces(ProtocolParams(4, 2, 2))
+        p = ProtocolParams(4, 2, 2)
+        with pytest.raises(ValueError, match="expected 64 each"):
+            group_table(p)
+        with pytest.raises(ValueError, match="expected 64 each"):
+            srm_signal_traces(p)
+        with pytest.raises(ValueError, match="expected 64 each"):
+            rho_and_srm(p)
 
     def test_moved_coordinate_is_rejected(self, monkeypatch):
+        # one coordinate moved in a single outcome, first or not, fails the batch
         coords = simulate._signal_coords
+        p = ProtocolParams(4, 2, 2)
+        rho = signal_sum(p)
 
-        def moved(ports, p):
-            rows, cols = coords(ports, p)
-            cols = cols.copy()
-            cols[0] = (cols[0] + 1) % p.d**p.n
+        def moved_in(outcome):
+            def moved(ports, q):
+                rows, cols = coords(ports, q)
+                cols = cols.copy()
+                cols[outcome, 0] = (cols[outcome, 0] + 1) % q.d**q.n
+                return rows, cols
+
+            return moved
+
+        for outcome in range(p.num_signals):
+            monkeypatch.setattr(simulate, "_signal_coords", moved_in(outcome))
+            with pytest.raises(ValueError, match="all-ones blocks"):
+                group_table(p)
+        monkeypatch.setattr(simulate, "_signal_coords", moved_in(p.num_signals - 1))
+        with pytest.raises(ValueError, match="all-ones blocks"):
+            srm_signal_traces(p, rho=rho)
+        with pytest.raises(ValueError, match="all-ones blocks"):
+            rho_and_srm(p, rho=rho)
+
+    def test_group_spanning_two_weights_is_rejected(self, monkeypatch):
+        # swapping two basis indices of different weight keeps every signal a
+        # sum of all-ones blocks, but puts one index into a group of the
+        # other's weight
+        coords = simulate._signal_coords
+        p = ProtocolParams(4, 2, 2)
+        rho = signal_sum(p)
+        keys = simulate._weight_keys(p)
+        a, b = 0, int(np.flatnonzero(keys != keys[0])[0])
+        relabel = np.arange(p.d**p.n)
+        relabel[[a, b]] = [b, a]
+        monkeypatch.setattr(
+            simulate, "_signal_coords",
+            lambda ports, q: tuple(relabel[x] for x in coords(ports, q)),
+        )
+        with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
+            group_table(p)
+        with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
+            srm_signal_traces(p, rho=rho)
+        with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
+            rho_and_srm(p, rho=rho)
+
+    def test_outcomes_with_different_group_weights_are_rejected(self, monkeypatch):
+        # moving one group of one outcome onto unused indices of another weight
+        # keeps every group inside one weight, but that outcome's weights no
+        # longer match the others'
+        coords = simulate._signal_coords
+        p = ProtocolParams(4, 2, 2)
+        rho = signal_sum(p)
+        keys = simulate._weight_keys(p)
+        moved = group_table(p)[1][0]
+        unused = np.setdiff1d(np.arange(p.d**p.n), group_table(p)[1])
+        other = next(
+            key for key in keys[unused]
+            if key != keys[moved[0]] and (keys[unused] == key).sum() >= moved.size
+        )
+        target = unused[keys[unused] == other][: moved.size]
+        relabel = np.arange(p.d**p.n)
+        relabel[moved], relabel[target] = target, moved
+
+        def patched(ports, q):
+            rows, cols = (a.copy() for a in coords(ports, q))
+            rows[1], cols[1] = relabel[rows[1]], relabel[cols[1]]
             return rows, cols
 
-        monkeypatch.setattr(simulate, "_signal_coords", moved)
-        for ports in all_port_tuples(4, 2):
-            with pytest.raises(ValueError):
-                simulate._signal_groups(ports, ProtocolParams(4, 2, 2))
-        with pytest.raises(ValueError):
-            rho_and_srm(ProtocolParams(4, 2, 2))
+        monkeypatch.setattr(simulate, "_signal_coords", patched)
+        with pytest.raises(ValueError, match="outcomes differ"):
+            group_table(p)
+        with pytest.raises(ValueError, match="outcomes differ"):
+            srm_signal_traces(p, rho=rho)
+
+    def test_tiny_cell_budget_gives_the_same_results(self, monkeypatch):
+        # one outcome per batch and per gather against one batch of all
+        cases = [ProtocolParams(4, 2, 2), ProtocolParams(5, 1, 2), ProtocolParams(2, 2, 3)]
+        default = [(signal_sum(p), srm_signal_traces(p), rho_and_srm(p)[1]) for p in cases]
+        monkeypatch.setattr(simulate, "_CELL_BUDGET", 1)
+        assert all(len(simulate._outcome_chunks(p)) == p.num_signals for p in cases)
+        for p, (rho, traces, factors) in zip(cases, default):
+            assert np.array_equal(signal_sum(p), rho), p
+            assert np.array_equal(srm_signal_traces(p), traces), p
+            assert all(np.array_equal(f, g) for f, g in zip(rho_and_srm(p)[1], factors)), p
 
 
 class TestWeightBlocks:
