@@ -26,6 +26,7 @@ import numpy as np
 from . import bounds, performance, protocols, simulate
 from .asymptotics import gaussian_limit, psucc_sandwich, sandwich_k
 from .core import EvalResult, ProtocolParams
+from .exactmath import UnderflowError
 from .protocols import Figure, ScalingSpec, SchemeId, finite_value
 
 
@@ -240,7 +241,14 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
         k = scaling.k_of(N)
         if k < 1:
             raise ValueError(f"k = floor(a*N^alpha) must be >= 1, got {k} at N={N}")
-        return (N, k, finite_value(scheme, figure, N, k, args.d))
+        try:
+            return (N, k, finite_value(scheme, figure, N, k, args.d))
+        except UnderflowError:
+            # asympt has no --arith; psucc computes the same value exactly
+            raise ValueError(
+                f"{scheme.value} {figure.value} at N={N}, k={k} underflows a float;"
+                f" use psucc --scheme {scheme.value} --N {N} --k {k} --arith exact"
+            ) from None
 
     rows = [row(N) for N in n_list]
     method = f"scaling[a={args.a:g},alpha={args.alpha:g}]"

@@ -95,12 +95,16 @@ def logsumexp(values: Iterable[float]) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in vals))
 
 
+class UnderflowError(ValueError):
+    """A log-space result lies below the smallest normal float."""
+
+
 def exp_normal(ln_value: float) -> float:
-    """exp of a log-space result.  Raises when the value lies below the
-    smallest normal float, where it would lose its relative accuracy and
-    print as 0; the exact-rational path still carries such values."""
+    """exp of a log-space result.  Raises UnderflowError when the value lies
+    below the smallest normal float, where it would lose its relative accuracy
+    and print as 0; the exact-rational path still carries such values."""
     if ln_value < _LN_MIN_NORMAL:
-        raise ValueError(
+        raise UnderflowError(
             f"log-space value exp({ln_value:.6g}) underflows a float; use --arith exact"
         )
     return math.exp(ln_value)

@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate
 
 from portcap.asymptotics import (
+    _EXP_ZERO_GAP,
+    _LN_CHOOSE_CHUNK,
     gaussian_limit,
     normal_pdf,
     normal_tail,
@@ -210,10 +212,47 @@ class TestPsuccLargeN:
         for kk in (k, k + 1):
             assert psucc_largeN(N, kk) == reference_psucc_largeN(N, kk), (N, kk)
 
-    def test_peak_memory_is_two_tables(self):
-        # the ln-binomial table and then the terms array, each of m_max + 1
-        # floats, with the 1..m_max index array before it; the whole-array
-        # expression holds about five such arrays at once
+    @pytest.mark.parametrize(
+        "m_max",
+        [_LN_CHOOSE_CHUNK - 1, _LN_CHOOSE_CHUNK, _LN_CHOOSE_CHUNK + 1,
+         2 * _LN_CHOOSE_CHUNK, 2 * _LN_CHOOSE_CHUNK + 1],
+    )
+    def test_bit_identical_at_the_chunk_boundaries(self, m_max):
+        # m = 1..m_max runs in chunks of _LN_CHOOSE_CHUNK; N - k of both
+        # parities, k small and k near sqrt(N)
+        for k in (3, 4, 400, 401):
+            for N in (2 * m_max + k, 2 * m_max + k + 1):
+                assert (N - k) // 2 == m_max
+                assert psucc_largeN(N, k) == reference_psucc_largeN(N, k), (N, k)
+
+    @staticmethod
+    def ln_choose(N, m):
+        return math.lgamma(N + 2) - math.lgamma(m + 1) - math.lgamma(N + 2 - m)
+
+    def test_bit_identical_where_leading_chunks_are_dropped(self):
+        for N, k in ((10**6, 2), (10**6 + 1, 10), (999_999, 1000)):
+            m_max = (N - k) // 2
+            head = 2.0 * math.log(N - k + 1.0)
+            # the first chunk of m lies far below the last ln C(N+1, m)
+            assert (self.ln_choose(N, _LN_CHOOSE_CHUNK) + head + _EXP_ZERO_GAP
+                    < self.ln_choose(N, m_max))
+            assert psucc_largeN(N, k) == reference_psucc_largeN(N, k), (N, k)
+
+    def test_bit_identical_where_every_chunk_stays_live(self):
+        for N, k in ((1000, 900), (1000, 601), (1201, 1000)):
+            # even m = 0 lies within the gap of the largest ln C(N+1, m)
+            assert self.ln_choose(N, (N - k) // 2) < _EXP_ZERO_GAP
+            assert psucc_largeN(N, k) == reference_psucc_largeN(N, k), (N, k)
+
+    def test_underflow_raises_as_the_reference_does(self):
+        for fn in (psucc_largeN, reference_psucc_largeN):
+            with pytest.raises(ValueError, match="underflows a float"):
+                fn(100000, 50000)
+
+    def test_peak_memory_is_the_zero_padded_sum(self):
+        # the zero-filled array of m_max + 1 exps, plus the chunks of
+        # ln C(N+1, m) kept live and the chunk buffers; the whole-array
+        # expression holds about five arrays of m_max + 1 floats at once
         N, k = 10**7, 3162
         m_max = (N - k) // 2
         tracemalloc.start()
@@ -222,4 +261,4 @@ class TestPsuccLargeN:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * (m_max + 1)
+        assert peak <= 1.2 * 8 * (m_max + 1)

@@ -176,6 +176,19 @@ class TestAsymptCommand:
         )
         assert code == 2
 
+    def test_underflow_names_a_command_that_runs(self, capsys):
+        # asympt has no --arith, so the hint points to psucc's exact path
+        code, out, err = run_cli(
+            capsys, "asympt", "--scheme", "mpbt", "--figure", "psucc",
+            "--a", "0.9", "--alpha", "1.0", "--N-list", "100000",
+        )
+        assert (code, out) == (2, "")
+        hint = "psucc --scheme mpbt --N 100000 --k 90000 --arith exact"
+        assert err == f"error: mpbt psucc at N=100000, k=90000 underflows a float; use {hint}\n"
+        code, out, _ = run_cli(capsys, *hint.split())
+        assert code == 0
+        assert out.split("\n")[1].startswith("mpbt,100000,90000,2,psucc,")
+
 
 class TestGaussCommand:
     def test_sandwich_rows(self, capsys):
