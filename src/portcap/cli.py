@@ -95,6 +95,8 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step < 1 or hi < lo:
         raise ValueError(f"bad range {text!r}")
+    if lo < 1:
+        raise ValueError(f"range must start at N >= 1, got {text!r}")
     return list(range(lo, hi + 1, step))
 
 
@@ -230,12 +232,10 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
     figure = Figure(args.figure)
     scaling = ScalingSpec(args.a, args.alpha)
     limit = protocols.critical_limit(scheme, scaling, figure, d=args.d)
-    if args.N_list:
+    if args.N_list is not None:
         n_list = _parse_int_list(args.N_list, "--N-list")
-    elif args.N_range:
-        n_list = _parse_range(args.N_range)
     else:
-        raise ValueError("one of --N-list or --N-range is required")
+        n_list = _parse_range(args.N_range)
 
     def row(N: int) -> tuple:
         k = scaling.k_of(N)
@@ -465,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_as.add_argument("--figure", choices=[f.value for f in Figure], required=True)
     p_as.add_argument("--a", type=float, required=True)
     p_as.add_argument("--alpha", type=float, required=True)
-    p_as.add_argument("--N-list", dest="N_list", help="comma list of port counts")
-    p_as.add_argument("--N-range", dest="N_range", help="inclusive lo:hi:step")
+    ports = p_as.add_mutually_exclusive_group(required=True)
+    ports.add_argument("--N-list", dest="N_list", help="comma list of port counts")
+    ports.add_argument("--N-range", dest="N_range", help="inclusive lo:hi:step")
     p_as.add_argument("--d", type=int, default=2)
     common(p_as, arith=False)
     p_as.set_defaults(func=_cmd_asympt)
@@ -484,10 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_log_arith(args: argparse.Namespace) -> None:
+    """Refuse --arith log where no printed value takes the log path, which
+    exists for the qubit forms only: fidelity --method qubit, psucc --scheme
+    mpbt and the qubit columns of compare and gauss."""
+    if getattr(args, "arith", None) != "log":
+        return
+    choice = getattr(args, "method", None) or getattr(args, "scheme", None)
+    if getattr(args, "d", 2) != 2 or choice not in (None, "qubit", "mpbt"):
+        raise ValueError(
+            "--arith log has no log path here: only the d=2 fidelity --method qubit,"
+            " psucc --scheme mpbt, compare and gauss take it"
+        )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_log_arith(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

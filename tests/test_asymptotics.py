@@ -249,16 +249,48 @@ class TestPsuccLargeN:
             with pytest.raises(ValueError, match="underflows a float"):
                 fn(100000, 50000)
 
-    def test_peak_memory_is_the_zero_padded_sum(self):
-        # the zero-filled array of m_max + 1 exps, plus the chunks of
-        # ln C(N+1, m) kept live and the chunk buffers; the whole-array
-        # expression holds about five arrays of m_max + 1 floats at once
+    def test_bit_identical_on_random_inputs(self):
+        # N log-uniform in [1e3, 2e6]; k near sqrt(N), log-uniform in [1, N]
+        # and uniform in [1, N], each with k + 1 for the other parity of N - k;
+        # where p underflows a float both must raise
+        def outcome(fn, N, k):
+            try:
+                return fn(N, k)
+            except ValueError:
+                return "underflow"
+
+        rng = np.random.default_rng(20201)
+        cases = set()
+        for _ in range(60):
+            N = int(np.exp(rng.uniform(math.log(1e3), math.log(2e6))))
+            for k in (math.isqrt(N) + int(rng.integers(-20, 21)),
+                      int(np.exp(rng.uniform(0.0, math.log(N)))),
+                      int(rng.integers(1, N + 1))):
+                cases |= {(N, kk) for kk in (k, k + 1) if 1 <= kk <= N}
+        assert len(cases) >= 300
+        assert {(N - k) % 2 for N, k in cases} == {0, 1}
+        for N, k in sorted(cases):
+            assert outcome(psucc_largeN, N, k) == outcome(reference_psucc_largeN, N, k), (N, k)
+
+    def test_peak_memory_is_the_live_window(self):
+        # the kept chunks of ln C(N+1, m) and the kept terms, about twice the
+        # live window at the concatenation, plus two chunk buffers; nothing
+        # of size (N - k)/2 + 1, which at N = 1e7 would be 40 MB
         N, k = 10**7, 3162
         m_max = (N - k) // 2
+        drop_below = 2.0 * math.log(N - k + 1.0) + _EXP_ZERO_GAP
+        top = self.ln_choose(N, m_max)
+        lo, hi = 0, m_max  # the first m whose term can have a nonzero exp
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self.ln_choose(N, mid) + drop_below >= top else (mid + 1, hi)
+        live = m_max - lo + 1
+        bound = 8 * (2 * (live + _LN_CHOOSE_CHUNK) + 2 * _LN_CHOOSE_CHUNK)
+        assert bound <= 4e6
         tracemalloc.start()
         try:
             psucc_largeN(N, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 8 * (m_max + 1)
+        assert peak <= bound

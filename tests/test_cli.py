@@ -169,12 +169,19 @@ class TestAsymptCommand:
         )
         assert code == 2
 
-    def test_requires_n_input(self, capsys):
+    def test_requires_n_input(self):
+        # --N-list and --N-range form one required exclusive group of argparse
+        with pytest.raises(SystemExit) as exc:
+            main(["asympt", "--scheme", "pack-pbt", "--figure", "fidelity",
+                  "--a", "1.0", "--alpha", "0.5"])
+        assert exc.value.code == 2
+
+    def test_empty_n_list_exits_2(self, capsys):
         code, _, err = run_cli(
-            capsys, "asympt", "--scheme", "pack-pbt", "--figure", "fidelity",
-            "--a", "1.0", "--alpha", "0.5",
+            capsys, "asympt", "--scheme", "mpbt", "--figure", "psucc",
+            "--a", "1.0", "--alpha", "0.5", "--N-list", "",
         )
-        assert code == 2
+        assert code == 2 and "empty item" in err
 
     def test_underflow_names_a_command_that_runs(self, capsys):
         # asympt has no --arith, so the hint points to psucc's exact path

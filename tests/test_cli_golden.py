@@ -117,6 +117,17 @@ GOLDEN = [
     ("gauss --a inf --N-range 100:200:100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 4,,6 --N-range 8:16:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 100,", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("compare --k-list 4 --N-range 0:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 5 --N-range 1:3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method exact --N 5 --k 2 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method bound-ratio --N 10 --k 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method bound-product --N 10 --k 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method bound-bernoulli --N 10 --k 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method oracle --N 2 --k 1 --d 2 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psucc --scheme ompbt --N 10 --k 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psucc --scheme opbt --N 10 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psucc --scheme pbt-approx --N 10 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("compare --k-list 3,4 --N-range 12:24:6 --d 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
