@@ -5,6 +5,10 @@ scheme, discrimination-based lower bounds, reference protocols with their
 critical teleportation-rate exponents, finite-N Gaussian sandwich bounds,
 and a dense-matrix simulation that certifies every closed formula at small
 scale.
+
+Every module is imported here, but numpy is imported only inside the
+functions that build arrays (the qubit log kernels and the dense oracle), so
+the exact rational paths run without loading it.
 """
 
 from .asymptotics import (

@@ -20,8 +20,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ProtocolParams
 from .exactmath import exp_normal
 
@@ -150,6 +148,8 @@ def psucc_largeN(N: int, k: int) -> float:
     k = 3162 it keeps about 8e4 of 5e6 terms and takes about 0.05 s on a
     2-vCPU Xeon, and N = 1e8 runs in about 0.5 s.
     """
+    import numpy as np
+
     ProtocolParams(N, k)
     m_max = (N - k) // 2
     drop_below = 2.0 * math.log(N - k + 1.0) + _EXP_ZERO_GAP

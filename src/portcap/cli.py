@@ -21,8 +21,6 @@ from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import bounds, performance, protocols, simulate
 from .asymptotics import gaussian_limit, psucc_sandwich, sandwich_k
 from .core import EvalResult, ProtocolParams
@@ -206,6 +204,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     k_list = _parse_int_list(args.k_list, "--k-list")
     n_list = _parse_range(args.N_range)
     strict = args.strict_packaging == "true"
+    if args.arith == "log" and min(k_list) > max(n_list):
+        raise ValueError("--arith log has no log path here: every row has k > N")
     rows = [_compare_row(N, k, args.d, strict, args.arith) for N in n_list for k in k_list]
     _emit_records(
         args.format,
@@ -299,12 +299,16 @@ _TILE = 64
 def _trace_of_square(a: np.ndarray) -> float:
     """tr(a a) = sum_ij a_ij a_ji, one pair of _TILE x _TILE tiles at a time,
     so that the transposed operand is read from cache, with no temporary."""
+    import numpy as np
+
     tiles = [slice(i, i + _TILE) for i in range(0, len(a), _TILE)]
     return math.fsum(float(np.einsum("ij,ji->", a[s, t], a[t, s])) for s in tiles for t in tiles)
 
 
 def _verify_checks(max_dim: int):
     """Yield (name, N, k, d, callable) verification checks up to max_dim."""
+    import numpy as np
+
     # Pairwise-overlap sums against the closed trace formula, exact integers.
     for d in (2, 3):
         for n in range(3, 8):

@@ -31,9 +31,6 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .asymptotics import psucc_largeN
 from .core import EvalResult, ProtocolParams
 from .exactmath import exp_normal, ln_int, logsumexp, square_of_radical_sum
@@ -207,6 +204,9 @@ class _FidelityGrid:
     rounded as in a per-term loop: (h + ln(2j+1)) + 0.5 ln C(N+1, m)."""
 
     def __init__(self, N: int, k: int) -> None:
+        import numpy as np
+        from numpy.lib.stride_tricks import sliding_window_view
+
         self.k = k
         self.s0 = (N - k) % 2
         self.rows = (N - k - self.s0) // 2 + 1
@@ -243,6 +243,8 @@ class _FidelityGrid:
 
     def cells(self, r0: int, r1: int) -> np.ndarray:
         """The terms of rows r0..r1-1."""
+        import numpy as np
+
         grid = np.empty((r1 - r0, self.k + 1))
         grid[:] = self.h_base
         # rows with 2s < k hold the only cells with hi <= k
@@ -266,6 +268,8 @@ def _ln_fidelity_sum(N: int, k: int) -> float:
     the rest, each row's terms largest first, which keeps fsum's partial
     sums few where a row spans hundreds of binades.
     """
+    import numpy as np
+
     grid = _FidelityGrid(N, k)
     rows = grid.rows
     step = max(1, _CELL_BUDGET // (k + 1))
@@ -315,7 +319,7 @@ def _row_blocks(z: np.ndarray, tops: np.ndarray) -> list[float]:
     keep = z >= _EXP_ZERO
     terms = memoryview(z[keep])  # yields one float at a time
     blocks, start = [], 0
-    for top, end in zip(tops.tolist(), np.cumsum(keep.sum(axis=1)).tolist()):
+    for top, end in zip(tops.tolist(), keep.sum(axis=1).cumsum().tolist()):
         blocks.append(2.0 * (top + math.log(math.fsum(map(math.exp, terms[start:end])))))
         start = end
     return blocks
@@ -324,6 +328,8 @@ def _row_blocks(z: np.ndarray, tops: np.ndarray) -> list[float]:
 def _ln_binomial_table(n: int, max_m: int) -> np.ndarray:
     """ln C(n, m) for m = 0..max_m via the ratio recurrence, summed in order
     of m."""
+    import numpy as np
+
     table = np.zeros(max_m + 1)
     up = np.fromiter(map(math.log, range(n, n - max_m, -1)), float, max_m)
     down = np.fromiter(map(math.log, range(1, max_m + 1)), float, max_m)

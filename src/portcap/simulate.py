@@ -32,8 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .core import ProtocolParams
 
 DIM_GUARD = 4096
@@ -62,6 +60,8 @@ def _outcome_chunks(p: ProtocolParams) -> list[np.ndarray]:
     """Every outcome's port tuple, as rows of int arrays in ``all_port_tuples``
     order, split so that each chunk's coordinate table holds at most
     _CELL_BUDGET cells (at least one outcome per chunk)."""
+    import numpy as np
+
     tuples = np.array(all_port_tuples(p.N, p.k), dtype=np.int64)
     step = max(1, _CELL_BUDGET // p.d**p.n)
     return [tuples[i : i + step] for i in range(0, len(tuples), step)]
@@ -80,6 +80,8 @@ def _signal_coords(
     leaving x free and the paired digits of y free: exactly dim nonzeros, all
     equal to 1/d^N.
     """
+    import numpy as np
+
     N, k, d = p.N, p.k, p.d
     ports = np.asarray(ports, dtype=np.int64)
     if ports.ndim != 2 or ports.shape[1] != k:
@@ -108,6 +110,8 @@ def _signal_coords(
 def signal_sum(p: ProtocolParams) -> np.ndarray:
     """Sum of all normalized signals (trace k! C(N,k)), accumulated from the
     coordinate tables one chunk of outcomes at a time."""
+    import numpy as np
+
     dim = _check_guard(p)
     rho = np.zeros((dim, dim))
     flat = rho.reshape(-1)
@@ -132,6 +136,8 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
     groups are returned in increasing key, and every outcome must carry the
     same sequence of keys; otherwise ValueError.
     """
+    import numpy as np
+
     rows, cols = _signal_coords(ports, p)
     n, dim, db = len(ports), p.d**p.n, p.d**p.k
     if rows.shape != (n, dim) or cols.shape != (n, dim):
@@ -167,6 +173,8 @@ def _weight_keys(p: ProtocolParams) -> np.ndarray:
     and k.  Each difference lies in [-k, N], so offset by k it is one digit in
     base N+k+1 and the packing is injective.
     """
+    import numpy as np
+
     N, k, d = p.N, p.k, p.d
     places = d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(d**p.n, dtype=np.int64)[:, None] // places) % d
@@ -179,6 +187,8 @@ def _weight_keys(p: ProtocolParams) -> np.ndarray:
 
 def _weight_blocks(keys: np.ndarray) -> list[np.ndarray]:
     """Basis indices of each weight, in increasing key and increasing index."""
+    import numpy as np
+
     order = np.argsort(keys, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
@@ -198,6 +208,8 @@ def _inverse_sqrt_on_support(
     and each block's rho^(-1/2) and kernel vectors are embedded in the full
     index space.
     """
+    import numpy as np
+
     dim = p.d**p.n
     if rho.shape != (dim, dim):
         raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
@@ -259,6 +271,8 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
     at a time.  ``rho`` may be passed in when the caller already built the
     signal sum.
     """
+    import numpy as np
+
     if rho is None:
         rho = signal_sum(p)
     inv_sqrt, _ = _inverse_sqrt_on_support(rho, p)
@@ -306,7 +320,7 @@ def pairwise_trace_matrix(
     """tr(sigma_a sigma_b) straight from the nonzero coordinate lists."""
     if len(a) != p.k or len(b) != p.k:
         raise ValueError(f"port tuples must have {p.k} entries, got {a} and {b}")
-    (ra, rb), (ca, cb) = _signal_coords(np.array([a, b]), p)
+    (ra, rb), (ca, cb) = _signal_coords([a, b], p)
     va = {(int(r), int(c)) for r, c in zip(ra, ca)}
     hits = sum((int(c), int(r)) in va for r, c in zip(rb, cb))
     return hits / float(p.d ** (2 * p.N))

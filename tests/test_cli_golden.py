@@ -128,6 +128,7 @@ GOLDEN = [
     ("psucc --scheme opbt --N 10 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("psucc --scheme pbt-approx --N 10 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 3,4 --N-range 12:24:6 --d 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("compare --k-list 50 --N-range 4:8:4 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -6,6 +6,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import portcap
 import portcap.cli
 
@@ -75,17 +77,52 @@ def test_every_public_name_is_used_inside_the_package():
     assert not unused
 
 
-def test_cli_import_loads_only_numpy_among_optional_packages():
-    # numpy is the only runtime dependency, and import time is part of every
-    # CLI call; scipy, mpmath and hypothesis may be installed but must stay
-    # unloaded
+def run_python(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports ``portcap``
+    from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_numpy_and_optional_packages_unloaded():
+    # import time is part of every CLI call: numpy loads only in the functions
+    # that build arrays, and scipy, mpmath and hypothesis may be installed but
+    # must stay unloaded
     code = (
         "import sys, portcap.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'scipy', 'mpmath', 'hypothesis'}))"
+        "& {'numpy', 'scipy', 'mpmath', 'hypothesis'}))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+def test_cli_import_loads_every_traced_module():
+    # the benchmark's Tracer reads each traced module from sys.modules as soon
+    # as it is built, so making a whole module lazy would crash every traced run
+    wanted = {f"portcap.{module}" for module, *_ in load_tracing().TARGETS} | {"portcap.cli"}
+    code = "import sys, portcap.cli; print(*sorted(m for m in sys.modules if m.startswith('portcap')))"
+    assert wanted <= set(run_python(code).split())
+
+
+@pytest.mark.parametrize(
+    ("command", "loads_numpy"),
+    [
+        ("psucc --N 10 --k 2", False),
+        ("fidelity --method exact --N 24 --k 4 --d 4", False),
+        ("psucc --scheme mpbt --N 30 --k 6 --d 4", False),
+        ("compare --k-list 4 --N-range 8:40:4", False),
+        # the qubit log kernels and the dense oracle do load it, which shows
+        # that the probe sees numpy when it is there
+        ("fidelity --method qubit --arith log --N 1000 --k 10", True),
+        ("verify --max-dim 8", True),
+    ],
+)
+def test_numpy_loads_only_where_an_array_is_built(command, loads_numpy):
+    code = (
+        "import sys, portcap.cli; "
+        f"code = portcap.cli.main({command.split()!r}); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert run_python(code).splitlines()[-1] == f"0 {loads_numpy}"
