@@ -384,16 +384,33 @@ def _verify_checks(max_dim: int):
         if p.d**p.n <= min(max_dim, 512):
 
             def povm_valid(p=p, pipeline=pipeline) -> bool:
-                # Pi = F F^T shares its nonzero spectrum with F^T F; a
-                # full-rank rho leaves an empty kernel factor
+                # With W the factors side by side, W W^T = I.  A column whose
+                # nonzeros share one U(1)^d weight adds to that weight's
+                # diagonal block of W W^T only, so completeness is checked
+                # one weight block at a time, on the columns of that weight
+                # (the weight of their first nonzero row).  A nonzero outside
+                # its column's block is counted by no block, which the count
+                # check after the loop catches.  Pi = F F^T shares its
+                # nonzero spectrum with F^T F, and the kernel's F^T F is then
+                # block diagonal too.
                 _, factors = simulate.rho_and_srm(p, rho=pipeline()[0])
-                W = np.hstack(factors)
-                if np.abs(W @ W.T - np.eye(W.shape[0])).max() > 1e-10:
+                outcomes, kernel = np.stack(factors[:-1]), factors[-1]
+                keys = simulate._weight_keys(p)
+                outcome_keys = keys[(outcomes != 0).argmax(axis=1)]
+                kernel_keys = keys[(kernel != 0).argmax(axis=0)]
+                inside = 0
+                for b in simulate._weight_blocks(keys):
+                    Wo = outcomes[:, b].transpose(1, 0, 2)[:, outcome_keys == keys[b[0]]]
+                    Wk = kernel[b][:, kernel_keys == keys[b[0]]]
+                    inside += np.count_nonzero(Wo) + np.count_nonzero(Wk)
+                    if np.abs(Wo @ Wo.T + Wk @ Wk.T - np.eye(b.size)).max() > 1e-10:
+                        return False
+                    if Wk.shape[1] and np.linalg.eigvalsh(Wk.T @ Wk).min() < -1e-10:
+                        return False
+                if inside != np.count_nonzero(outcomes) + np.count_nonzero(kernel):
                     return False
-                return all(
-                    F.shape[1] == 0 or np.linalg.eigvalsh(F.T @ F).min() >= -1e-10
-                    for F in factors
-                )
+                grams = np.matmul(outcomes.transpose(0, 2, 1), outcomes)
+                return np.linalg.eigvalsh(grams).min() >= -1e-10
 
             yield ("povm-complete-positive", p.N, p.k, p.d, povm_valid)
 

@@ -17,11 +17,11 @@ coordinates of every outcome.
 
 The signal sum rho is dense and diagonalized block by block, one block per
 U(1)^d weight of the basis indices, with the block structure checked exactly
-against rho's nonzeros.  Every row of a group has the same weight, also
-checked in integers, so the per-outcome traces read rho^(-1/2) one weight
-block at a time.  The traces and the square-root measurement are computed
-from the group factor, so no per-outcome d**(N+k) x d**(N+k) matrix is
-formed.
+against rho's nonzeros.  rho^(-1/2) and the kernel basis stay in those
+blocks: rho is the only dim x dim matrix formed.  Every row of a group has
+the same weight, also checked in integers, so the per-outcome traces and the
+square-root-measurement factors read rho^(-1/2) one weight block at a time,
+and no per-outcome d**(N+k) x d**(N+k) matrix is formed either.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 from .core import ProtocolParams
 
@@ -195,18 +196,20 @@ def _weight_blocks(keys: np.ndarray) -> list[np.ndarray]:
 
 def _inverse_sqrt_on_support(
     rho: np.ndarray, p: ProtocolParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rho^(-1/2) on its support, orthonormal basis of the kernel), support
-    decided by the relative eigenvalue threshold SUPPORT_RTOL.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """rho^(-1/2) on its support and an orthonormal basis of the kernel, one
+    U(1)^d weight block at a time, support decided by the relative eigenvalue
+    threshold SUPPORT_RTOL.
 
     rho commutes with U^(x N) x conj(U)^(x k), so for diagonal U it only
     connects basis indices of equal U(1)^d weight (``_weight_keys``).  Only
     that phase symmetry is used, not the Schur-Weyl algebra the oracle
     certifies.  The block structure is checked exactly: the blocks must hold
     every nonzero of rho, or ValueError.  Each block is diagonalized on its
-    own, the support is decided against the largest eigenvalue of all blocks,
-    and each block's rho^(-1/2) and kernel vectors are embedded in the full
-    index space.
+    own and the support is decided against the largest eigenvalue of all
+    blocks.  Returns, for each weight in increasing key (``_weight_blocks``),
+    (the block's basis indices b, rho^(-1/2) restricted to b x b, the block's
+    kernel vectors as columns over b); rho^(-1/2) is zero off these blocks.
     """
     import numpy as np
 
@@ -219,16 +222,38 @@ def _inverse_sqrt_on_support(
         raise ValueError("rho connects basis indices of different U(1)^d weight")
     eigs = [np.linalg.eigh(s) for s in subs]
     cut = SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
-    inv_sqrt = np.zeros_like(rho)
-    kernel = np.zeros((dim, sum(int((vals <= cut).sum()) for vals, _ in eigs)))
-    col = 0
+    out = []
     for b, (vals, vecs) in zip(blocks, eigs):
         keep = vals > cut
-        vs, ker = vecs[:, keep], vecs[:, ~keep]
-        inv_sqrt[np.ix_(b, b)] = (vs / np.sqrt(vals[keep])) @ vs.T
-        kernel[b, col : col + ker.shape[1]] = ker
-        col += ker.shape[1]
-    return inv_sqrt, kernel
+        vs = vecs[:, keep]
+        out.append((b, (vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep]))
+    return out
+
+
+def _chunk_runs(
+    p: ProtocolParams, keys: np.ndarray, blocks: list
+) -> Iterator[tuple[int, list]]:
+    """Every chunk of outcomes (``_outcome_chunks``) as (its outcome count,
+    the list of its weight runs).  Groups come in increasing key
+    (``_signal_groups``), so the groups of one weight are contiguous; each
+    run is (their positions as a slice, that weight's (b, S_b, kernel) from
+    ``_inverse_sqrt_on_support``, every outcome's rows of those groups as
+    positions inside b, shape (outcomes, groups, d**k))."""
+    import numpy as np
+
+    local = np.empty_like(keys)
+    by_key = {}
+    for block in blocks:
+        local[block[0]] = np.arange(block[0].size)
+        by_key[keys[block[0][0]]] = block
+    for ports in _outcome_chunks(p):
+        groups = _signal_groups(ports, p, keys)
+        first = keys[groups[0, :, 0]]
+        cuts = [0, *(np.flatnonzero(np.diff(first)) + 1), first.size]
+        yield len(ports), [
+            (slice(lo, hi), by_key[first[lo]], local[groups[:, lo:hi]])
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ]
 
 
 def rho_and_srm(
@@ -240,18 +265,34 @@ def rho_and_srm(
     outcome (ordered as ``all_port_tuples``), with S = rho^(-1/2), v = 1/d^N
     and Pi_i = F_i F_i^T, plus an orthonormal basis K of rho's kernel as the
     final failure element K K^T.  With W the factors side by side, W W^T is
-    the identity.  No dim x dim element is formed.
-    ``rho`` may be passed in when the caller already built the signal sum.
+    the identity.  Each group of G_i lies in one weight, so its column of F_i
+    is read from that weight's block of S and is zero off the block; no
+    dim x dim matrix is formed.  ``rho`` may be passed in when the caller
+    already built the signal sum.
     """
+    import numpy as np
+
     if rho is None:
         rho = signal_sum(p)
-    inv_sqrt, kernel = _inverse_sqrt_on_support(rho, p)
-    keys = _weight_keys(p)
+    blocks = _inverse_sqrt_on_support(rho, p)
+    dim = p.d**p.n
+    kernel = np.zeros((dim, sum(ker.shape[1] for _, _, ker in blocks)))
+    col = 0
+    for b, _, ker in blocks:
+        kernel[b, col : col + ker.shape[1]] = ker
+        col += ker.shape[1]
     scale = math.sqrt(1.0 / p.d**p.N)
     factors = []
-    for ports in _outcome_chunks(p):
-        # S is symmetric, so S G_i is the transpose of S's rows summed per group
-        factors += [scale * inv_sqrt[g].sum(axis=1).T for g in _signal_groups(ports, p, keys)]
+    for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
+        chunk = np.zeros((n, dim, p.d ** (p.N - p.k)))
+        for cols, (b, block, _), idx in runs:
+            # S is symmetric, so S G_i's column for a group is the sum of the
+            # group's rows of S, all inside the group's weight block
+            step = max(1, _CELL_BUDGET // (idx[0].size * b.size))
+            for lo in range(0, n, step):
+                rows = block[idx[lo : lo + step]].sum(axis=2)
+                chunk[lo : lo + step, b, cols] = scale * rows.transpose(0, 2, 1)
+        factors += list(chunk)
     factors.append(kernel)
     return rho, factors
 
@@ -266,38 +307,29 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
 
     S only connects indices of equal U(1)^d weight, and each group lies in
     one weight, so G_i^T S G_i is block diagonal: for each weight it sums the
-    n x n group pairs' d**k x d**k blocks of S, (n d**k)^2 reads for the n
-    groups of that weight.  Outcomes are batched, at most _CELL_BUDGET reads
-    at a time.  ``rho`` may be passed in when the caller already built the
-    signal sum.
+    n x n group pairs' d**k x d**k blocks of that weight's block of S,
+    (n d**k)^2 reads for the n groups of that weight.  Outcomes are batched,
+    at most _CELL_BUDGET reads at a time.  ``rho`` may be passed in when the
+    caller already built the signal sum.
     """
     import numpy as np
 
     if rho is None:
         rho = signal_sum(p)
-    inv_sqrt, _ = _inverse_sqrt_on_support(rho, p)
-    keys = _weight_keys(p)
-    # each weight block of S, and every index's position inside its block
-    local = np.empty_like(keys)
-    blocks = {}
-    for b in _weight_blocks(keys):
-        local[b] = np.arange(b.size)
-        blocks[keys[b[0]]] = inv_sqrt[np.ix_(b, b)]
+    blocks = _inverse_sqrt_on_support(rho, p)
     db = p.d**p.k
     v = 1.0 / p.d**p.N
     out = []
-    for ports in _outcome_chunks(p):
-        groups = _signal_groups(ports, p, keys)
-        first = keys[groups[0, :, 0]]
-        squares = np.zeros(len(ports))
-        for run in np.split(np.arange(first.size), np.flatnonzero(np.diff(first)) + 1):
-            block = blocks[first[run[0]]]
-            idx = local[groups[:, run]].reshape(len(ports), -1)
+    for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
+        squares = np.zeros(n)
+        for _, (_, block, _), idx in runs:
+            n_groups = idx.shape[1]
+            idx = idx.reshape(n, -1)
             step = max(1, _CELL_BUDGET // idx.shape[1] ** 2)
-            for lo in range(0, len(ports), step):
+            for lo in range(0, n, step):
                 part = idx[lo : lo + step]
                 pairs = block.take(part[:, :, None] * len(block) + part[:, None, :])
-                sums = pairs.reshape(len(part), run.size, db, run.size, db).sum(axis=(2, 4))
+                sums = pairs.reshape(len(part), n_groups, db, n_groups, db).sum(axis=(2, 4))
                 squares[lo : lo + step] += np.einsum("oij,oij->o", sums, sums)
         out.append(v * v * squares)
     return np.concatenate(out)
@@ -327,8 +359,10 @@ def pairwise_trace_matrix(
 
 
 def feasible_instances(max_dim: int = DIM_GUARD) -> list[ProtocolParams]:
-    """All (N, k, d) with d**(N+k) <= max_dim and k <= floor(N/2), so that
-    the bound checks apply, ordered by dimension."""
+    """All (N, k, d) with d in 2..5, d**(N+k) <= max_dim and k <= floor(N/2),
+    so that the bound checks apply, ordered by dimension.  d >= 6 is not
+    swept, though instances fit: (2, 1, 6) through (2, 1, 10) under max_dim
+    1024, and up to (2, 1, 16) and (3, 1, 8) under 4096."""
     if max_dim > DIM_GUARD:
         raise ValueError(f"max_dim must be <= {DIM_GUARD}")
     out = []

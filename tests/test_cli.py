@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from portcap import cli
+from portcap import cli, simulate
 from portcap.cli import main
+from portcap.core import ProtocolParams
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,42 @@ class TestVerifyCommand:
             assert "(2, 1, 2)" in err
         code, out, _ = run_cli(capsys, "verify", "--max-dim", "8")
         assert code == 0 and "signal-sum-purity,2,1,2,PASS" in out
+
+    def test_povm_check_fails_on_a_broken_factor(self, capsys, monkeypatch):
+        # completeness is checked one weight block at a time: an entry moved
+        # into another block's rows, an entry copied there (invisible to
+        # every diagonal block, caught only by the check that each nonzero
+        # lies in its column's block) and a factor off by a relative 1e-6
+        # must each fail it
+        keys = simulate._weight_keys(ProtocolParams(2, 1, 2))
+        srm = simulate.rho_and_srm
+
+        def off_block(F):
+            r, c = np.argwhere(F != 0)[0]
+            return r, c, np.flatnonzero(keys != keys[r])[0]
+
+        def moved(F):
+            r, c, target = off_block(F)
+            F[target, c], F[r, c] = F[r, c], 0.0
+
+        def copied(F):
+            r, c, target = off_block(F)
+            F[target, c] = F[r, c]
+
+        def scaled(F):
+            F *= 1 + 1e-6
+
+        for corrupt in (moved, copied, scaled):
+            def broken(p, rho=None, corrupt=corrupt):
+                rho, factors = srm(p, rho=rho)
+                corrupt(factors[0])
+                return rho, factors
+
+            monkeypatch.setattr(simulate, "rho_and_srm", broken)
+            code, out, _ = run_cli(capsys, "verify", "--max-dim", "8")
+            assert code == 1, corrupt.__name__
+            assert "povm-complete-positive,2,1,2,FAIL" in out, corrupt.__name__
+            assert out.count(",FAIL,") == 1, corrupt.__name__
 
     def test_tiled_trace_of_square_matches_the_matrix_product(self):
         rng = np.random.default_rng(3)

@@ -1,7 +1,9 @@
+import bisect
 import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -253,7 +255,41 @@ class TestCorrectRounding:
                 assert abs(res.value - ref) <= res.rel_err_bound * ref, (N, k)
 
 
+def words_psucc(N, k, d):
+    """psucc by Schensted's theorem, with no Weyl, Frobenius or hook-content
+    formula: RSK maps the words of length N-k over d letters one to one onto
+    pairs of tableaux of a common shape alpha, m_alpha d_alpha pairs for each
+    alpha, and alpha_1 is the word's longest weakly increasing subsequence
+    L(w), so
+
+        p = d^-k N!/(N-k)! E_w[1 / prod_{t<k} (d + L(w) + t)]
+
+    with w uniform over the d^(N-k) words.  L(w) is the number of piles of
+    patience sorting; words that leave the same pile tops are counted
+    together."""
+    piles = Counter({(): 1})
+    for _ in range(N - k):
+        grown = Counter()
+        for tops, count in piles.items():
+            for x in range(d):
+                i = bisect.bisect_right(tops, x)
+                grown[tops[:i] + (x,) + tops[i + 1 :]] += count
+        piles = grown
+    assert sum(piles.values()) == d ** (N - k)
+    mean = sum(
+        Fraction(count, math.prod(range(d + len(tops), d + len(tops) + k)))
+        for tops, count in piles.items()
+    ) / d ** (N - k)
+    return Fraction(math.perm(N, k), d**k) * mean
+
+
 class TestPsuccExact:
+    @pytest.mark.parametrize("N,k,d", [(1, 1, 2), (4, 2, 2), (9, 3, 2), (14, 2, 2), (6, 1, 3),
+                                       (10, 2, 3), (12, 1, 3), (7, 2, 4), (9, 1, 5),
+                                       (24, 4, 4), (16, 2, 5)])
+    def test_matches_the_words_certificate(self, N, k, d):
+        assert psucc_exact(N, k, d).exact == words_psucc(N, k, d)
+
     def test_closed_form_grows_no_diagrams(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("psucc_exact called add_boxes")

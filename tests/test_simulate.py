@@ -150,6 +150,51 @@ def dense_inverse_sqrt(p):
     return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
 
 
+def reference_inverse_sqrt_on_support(rho, p):
+    """(rho^(-1/2), kernel basis) as dense dim x dim and dim x n_ker arrays:
+    each weight block diagonalized on its own and embedded in the full index
+    space, the reference for the block form the oracle keeps."""
+    blocks = simulate._weight_blocks(simulate._weight_keys(p))
+    eigs = [np.linalg.eigh(rho[np.ix_(b, b)]) for b in blocks]
+    cut = simulate.SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
+    inv_sqrt = np.zeros_like(rho)
+    kernel = np.zeros((len(rho), sum(int((vals <= cut).sum()) for vals, _ in eigs)))
+    col = 0
+    for b, (vals, vecs) in zip(blocks, eigs):
+        keep = vals > cut
+        vs, ker = vecs[:, keep], vecs[:, ~keep]
+        inv_sqrt[np.ix_(b, b)] = (vs / np.sqrt(vals[keep])) @ vs.T
+        kernel[b, col : col + ker.shape[1]] = ker
+        col += ker.shape[1]
+    return inv_sqrt, kernel
+
+
+def reference_factors(p):
+    """``rho_and_srm``'s factors from the dense embedding: each group's column
+    of S G_i is its rows of S summed, read across the whole index space."""
+    inv_sqrt, kernel = reference_inverse_sqrt_on_support(signal_sum(p), p)
+    scale = math.sqrt(1.0 / p.d**p.N)
+    return [scale * inv_sqrt[g].sum(axis=1).T for g in group_table(p)] + [kernel]
+
+
+def reference_signal_traces(p):
+    """``srm_signal_traces`` from the dense embedding, one outcome at a time:
+    for each weight, the group pairs' blocks of S read straight from S."""
+    inv_sqrt, _ = reference_inverse_sqrt_on_support(signal_sum(p), p)
+    keys = simulate._weight_keys(p)
+    db, v = p.d**p.k, 1.0 / p.d**p.N
+    out = []
+    for groups in group_table(p):
+        square = 0.0
+        for key in np.unique(keys[groups[:, 0]]):
+            idx = groups[keys[groups[:, 0]] == key].reshape(-1)
+            n = idx.size // db
+            sums = inv_sqrt[np.ix_(idx, idx)].reshape(1, n, db, n, db).sum(axis=(2, 4))
+            square += np.einsum("oij,oij->o", sums, sums)[0]
+        out.append(v * v * square)
+    return np.array(out)
+
+
 def dense_srm(p):
     """Reference POVM elements S sigma_i S from dense signals, S = rho^(-1/2),
     together with the signals; independent of the factored route."""
@@ -358,13 +403,35 @@ class TestWeightBlocks:
         for p in [ProtocolParams(4, 2, 2), ProtocolParams(3, 1, 3), ProtocolParams(2, 1, 4),
                   ProtocolParams(2, 1, 5), ProtocolParams(3, 3, 2)]:
             rho = signal_sum(p)
-            inv_sqrt, kernel = simulate._inverse_sqrt_on_support(rho, p)
+            dim = len(rho)
+            blocks = simulate._inverse_sqrt_on_support(rho, p)
+            indices = np.concatenate([b for b, _, _ in blocks])
+            assert np.array_equal(np.sort(indices), np.arange(dim)), p
+            inv_sqrt = np.zeros_like(rho)
+            kernel = []
+            for b, block, ker in blocks:
+                assert block.shape == (b.size, b.size) and ker.shape[0] == b.size, p
+                inv_sqrt[np.ix_(b, b)] = block
+                embedded = np.zeros((dim, ker.shape[1]))
+                embedded[b] = ker
+                kernel.append(embedded)
+            kernel = np.hstack(kernel)
             assert np.abs(inv_sqrt - dense_inverse_sqrt(p)).max() < 1e-10, p
+            # the kernel blocks together are an orthonormal basis of rho's null space
             vals, vecs = np.linalg.eigh(rho)
             support = vecs[:, vals > 1e-12 * vals.max()]
-            complement = np.eye(len(rho)) - support @ support.T
-            assert kernel.shape[1] > 0, p
+            complement = np.eye(dim) - support @ support.T
+            assert kernel.shape[1] == dim - support.shape[1] > 0, p
+            assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() < 1e-12, p
             assert np.abs(kernel @ kernel.T - complement).max() < 1e-10, p
+
+    def test_block_form_matches_the_dense_embedding_bit_for_bit(self):
+        for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
+            assert np.array_equal(srm_signal_traces(p), reference_signal_traces(p)), p
+            _, factors = rho_and_srm(p)
+            reference = reference_factors(p)
+            assert len(factors) == len(reference), p
+            assert all(np.array_equal(f, g) for f, g in zip(factors, reference)), p
 
     def test_keys_label_the_weights_one_to_one(self):
         for p in [ProtocolParams(3, 1, 3), ProtocolParams(2, 2, 4)]:
