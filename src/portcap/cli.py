@@ -344,6 +344,9 @@ def _verify_checks(max_dim: int):
         # batched coordinate tables, the weight-block eigensolve, and every
         # outcome's trace from batched group tables.  It runs once per
         # instance; the checks share it, and the POVM check reuses its rho.
+        # Its cache is cleared when the generator resumes after the
+        # instance's last check, so rho and the traces are freed before the
+        # next instance's rho is built, whoever still holds the closures.
         @functools.cache
         def pipeline(p=p):
             rho = simulate.signal_sum(p)
@@ -390,29 +393,42 @@ def _verify_checks(max_dim: int):
                 # one weight block at a time, on the columns of that weight
                 # (the weight of their first nonzero row).  A nonzero outside
                 # its column's block is counted by no block, which the count
-                # check after the loop catches.  Pi = F F^T shares its
-                # nonzero spectrum with F^T F, and the kernel's F^T F is then
-                # block diagonal too.
+                # check after the loops catches.  The outcome factors are
+                # read in batches of at most _CELL_BUDGET cells, each batch's
+                # share of every block summed in.  Pi = F F^T shares its
+                # nonzero spectrum with F^T F, checked for every outcome in
+                # one batch, and the kernel's F^T F is then block diagonal.
                 _, factors = simulate.rho_and_srm(p, rho=pipeline()[0])
-                outcomes, kernel = np.stack(factors[:-1]), factors[-1]
+                outcomes, kernel = factors[:-1], factors[-1]
                 keys = simulate._weight_keys(p)
-                outcome_keys = keys[(outcomes != 0).argmax(axis=1)]
+                blocks = simulate._weight_blocks(keys)
+                sums = [np.zeros((b.size, b.size)) for b in blocks]
+                grams, inside, total = [], 0, np.count_nonzero(kernel)
+                step = max(1, simulate._CELL_BUDGET // outcomes[0].size)
+                for lo in range(0, len(outcomes), step):
+                    W = np.stack(outcomes[lo : lo + step])
+                    W_keys = keys[(W != 0).argmax(axis=1)]
+                    for s, b in zip(sums, blocks):
+                        Wo = W[:, b].transpose(1, 0, 2)[:, W_keys == keys[b[0]]]
+                        inside += np.count_nonzero(Wo)
+                        s += Wo @ Wo.T
+                    total += np.count_nonzero(W)
+                    grams.append(np.matmul(W.transpose(0, 2, 1), W))
                 kernel_keys = keys[(kernel != 0).argmax(axis=0)]
-                inside = 0
-                for b in simulate._weight_blocks(keys):
-                    Wo = outcomes[:, b].transpose(1, 0, 2)[:, outcome_keys == keys[b[0]]]
+                for s, b in zip(sums, blocks):
                     Wk = kernel[b][:, kernel_keys == keys[b[0]]]
-                    inside += np.count_nonzero(Wo) + np.count_nonzero(Wk)
-                    if np.abs(Wo @ Wo.T + Wk @ Wk.T - np.eye(b.size)).max() > 1e-10:
+                    inside += np.count_nonzero(Wk)
+                    if np.abs(s + Wk @ Wk.T - np.eye(b.size)).max() > 1e-10:
                         return False
                     if Wk.shape[1] and np.linalg.eigvalsh(Wk.T @ Wk).min() < -1e-10:
                         return False
-                if inside != np.count_nonzero(outcomes) + np.count_nonzero(kernel):
+                if inside != total:
                     return False
-                grams = np.matmul(outcomes.transpose(0, 2, 1), outcomes)
-                return np.linalg.eigvalsh(grams).min() >= -1e-10
+                return np.linalg.eigvalsh(np.concatenate(grams)).min() >= -1e-10
 
             yield ("povm-complete-positive", p.N, p.k, p.d, povm_valid)
+
+        pipeline.cache_clear()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

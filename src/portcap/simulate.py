@@ -210,6 +210,10 @@ def _inverse_sqrt_on_support(
     blocks.  Returns, for each weight in increasing key (``_weight_blocks``),
     (the block's basis indices b, rho^(-1/2) restricted to b x b, the block's
     kernel vectors as columns over b); rho^(-1/2) is zero off these blocks.
+
+    Each block's copy of rho is dropped once it is diagonalized, and each
+    eigenpair once its S block and kernel are formed, so one set of Sum |b|^2
+    floats is held beside the largest block's temporaries.
     """
     import numpy as np
 
@@ -217,13 +221,18 @@ def _inverse_sqrt_on_support(
     if rho.shape != (dim, dim):
         raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
     blocks = _weight_blocks(_weight_keys(p))
-    subs = [rho[np.ix_(b, b)] for b in blocks]
-    if sum(np.count_nonzero(s) for s in subs) != np.count_nonzero(rho):
+    eigs, inside = [], 0
+    for b in blocks:
+        sub = rho[np.ix_(b, b)]
+        inside += np.count_nonzero(sub)
+        eigs.append(np.linalg.eigh(sub))
+    del sub
+    if inside != np.count_nonzero(rho):
         raise ValueError("rho connects basis indices of different U(1)^d weight")
-    eigs = [np.linalg.eigh(s) for s in subs]
     cut = SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
     out = []
-    for b, (vals, vecs) in zip(blocks, eigs):
+    for b in blocks:
+        vals, vecs = eigs.pop(0)
         keep = vals > cut
         vs = vecs[:, keep]
         out.append((b, (vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep]))

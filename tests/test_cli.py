@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,46 @@ class TestVerifyCommand:
             assert code == 1, corrupt.__name__
             assert "povm-complete-positive,2,1,2,FAIL" in out, corrupt.__name__
             assert out.count(",FAIL,") == 1, corrupt.__name__
+
+    def test_an_instance_is_freed_before_the_next_is_built(self):
+        # each instance's rho and traces go once its last check has run, so
+        # the memory held when the next instance starts is below the last
+        # rho.  Below 64 KB a rho is the size of what the closed forms'
+        # caches gain over the sweep, so smaller ones are not compared.
+        checked, previous = 0, 0
+        tracemalloc.start()
+        try:
+            for name, N, k, d, fn in cli._verify_checks(1024):
+                if name == "signal-sum-purity":
+                    held = tracemalloc.get_traced_memory()[0]
+                    if previous >= 1 << 16:
+                        assert held < previous, (N, k, d)
+                        checked += 1
+                    previous = 8 * d ** (2 * (N + k))
+                assert fn(), (name, N, k, d)
+        finally:
+            tracemalloc.stop()
+        assert checked >= 10
+
+    def test_povm_check_peaks_below_twice_its_factors(self):
+        # the outcome factors are read a bounded batch at a time, not stacked
+        # into a second copy of all of them
+        p = ProtocolParams(7, 2, 2)
+        factor_bytes = 8 * p.num_signals * p.d**p.n * p.d ** (p.N - p.k)
+        for name, N, k, d, fn in cli._verify_checks(512):
+            if (N, k, d) != (p.N, p.k, p.d):
+                continue
+            if name != "povm-complete-positive":
+                assert fn(), name
+                continue
+            tracemalloc.start()
+            try:
+                assert fn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            break
+        assert peak < 2 * factor_bytes
 
     def test_tiled_trace_of_square_matches_the_matrix_product(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,22 @@ class TestWeightBlocks:
             simulate._inverse_sqrt_on_support(rho, p)
         with pytest.raises(ValueError):
             simulate._inverse_sqrt_on_support(rho[:-1, :-1], p)
+
+    def test_solve_holds_about_one_copy_of_the_blocks(self):
+        # each block's copy of rho goes once it is solved and each eigenpair
+        # once its S block is formed: the eigenvectors, then the S blocks,
+        # make one set of sum |b|^2 floats, beside the largest block's
+        # temporaries.  Keeping every copy alive held three to four sets.
+        p = ProtocolParams(7, 3, 2)
+        rho = signal_sum(p)
+        one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(simulate._weight_keys(p)))
+        tracemalloc.start()
+        try:
+            simulate._inverse_sqrt_on_support(rho, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * one_set
 
 
 class TestFiguresOfMerit:
