@@ -6,7 +6,9 @@ floats at 12 significant digits and exact rationals as "p/q", so identical
 invocations are byte-identical; figures are reproduced by plotting the CSV.
 ``--format json`` emits one JSON object per output record instead.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
+Exit codes: 0 success, 1 verification failure, 2 usage or precondition error,
+141 when the reader closes stdout early (``portcap verify | head -1``), the
+status a shell reports for a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -541,10 +544,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_log_arith(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit fails no second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -79,6 +79,12 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     ``square_of_radical_sum``), so the sum does too, and the float is the
     true value rounded to nearest unless a rounding boundary lies within
     that error of it.
+
+    The growth table of ``alpha`` depends only on its row gaps, each capped
+    at k: before the t-th of k added boxes a row has gained at most t - 1 < k
+    of them, so a gap of k or more never blocks a box.  ``add_boxes`` runs
+    once per class of capped gaps, on the smallest diagram in the class, and
+    every alpha in the class gains the same boxes row by row.
     """
     ProtocolParams(N, k, d)
     # Over d rows padded with zeros, l_i = mu_i + d - i and
@@ -87,11 +93,23 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     # so the radicand m_mu d_mu costs one pass over the rows.
     weyl_den = math.prod(math.factorial(i) for i in range(d))
     n_fact = math.factorial(N)
+    # A padded diagram is coded as the base-(N+1) integer of its d rows: no
+    # row exceeds N, so adding the codes of two diagrams adds them row by row.
+    base = N + 1
+
+    def code(rows):
+        c = 0
+        for row in rows:
+            c = c * base + row
+        return c * base ** (d - len(rows))
 
     @functools.cache  # for this call only, so a process making many calls does not grow
-    def radicand(mu):
-        ell = [row + d - i for i, row in enumerate(mu, 1)]
-        ell += range(d - len(mu) - 1, -1, -1)
+    def radicand(c):
+        # the digits come out from the last row up, where l = row + digit index
+        ell = []
+        for j in range(d):
+            c, row = divmod(c, base)
+            ell.append(row + j)
         vandermonde, den = 1, weyl_den
         for i, li in enumerate(ell):
             den *= math.factorial(li)
@@ -99,11 +117,23 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
                 vandermonde *= li - lj
         return n_fact * vandermonde * vandermonde // den
 
+    # for each class of capped gaps, the (code of the boxes gained, path
+    # count) of every growth; for this call only, like the radicand cache
+    growth: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     total = Fraction(0)
     all_exact = True
     roots: dict[int, int] = {}  # m_mu d_mu recurs across the blocks alpha
     for alpha in enumerate_diagrams(N - k, d):
-        terms = [(paths, radicand(mu)) for mu, paths in add_boxes(alpha, k, d)]
+        rows = alpha + (0,) * (d - len(alpha))
+        gaps = tuple(min(a - b, k) for a, b in zip(rows, rows[1:]))
+        table = growth.get(gaps)
+        if table is None:
+            smallest = [sum(gaps[i:]) for i in range(d - 1)]
+            start = code(smallest)
+            table = growth[gaps] = [(code(mu) - start, paths)
+                                    for mu, paths in add_boxes(smallest, k, d)]
+        origin = code(rows)
+        terms = [(paths, radicand(origin + gained)) for gained, paths in table]
         block, ok = square_of_radical_sum(terms, roots=roots)
         total += block
         all_exact = all_exact and ok

@@ -13,6 +13,14 @@ tuple is the empty diagram.  For a diagram ``mu`` with at most ``d`` rows,
 
 The growth-path recursion is the only growth count in the package; the tests
 check it on two rows against the closed spin-coupling form.
+
+Growth from ``alpha`` depends on ``alpha`` only through its row gaps over
+``max_rows`` padded rows, each capped at k: before the t-th of k added boxes
+a row has gained at most t - 1 < k of them, so a gap of k or more never
+blocks a box.  ``add_boxes`` of any ``alpha`` is therefore the table of the
+smallest diagram with the same capped gaps, shifted row by row onto
+``alpha``, in the same order and with the same counts; the fidelity sum
+grows each such class once.
 """
 
 from __future__ import annotations

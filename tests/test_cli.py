@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +238,21 @@ class TestVerifyCommand:
         assert lines[0] == "check,N,k,d,status,seconds"
         assert all(",PASS," in line for line in lines[1:])
         assert "checks passed" in err
+
+    def test_reader_closing_stdout_early_ends_without_a_traceback(self):
+        # ``portcap verify | head -1``: unbuffered, each row is written as it
+        # is printed, so the rows after the header meet a closed pipe
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "portcap", "verify", "--max-dim", "1024"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"check,N,k,d,status,seconds\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() != 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_max_dim_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--max-dim", "8192")

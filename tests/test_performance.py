@@ -1,4 +1,5 @@
 import bisect
+import gc
 import math
 import random
 import sys
@@ -59,8 +60,9 @@ def reference_psucc_exact(N, k, d):
 
 
 def reference_fidelity_exact(N, k, d):
-    """fidelity_exact with the radicand m_mu d_mu taken from the Weyl
-    dimension and the hook-length formula."""
+    """fidelity_exact with add_boxes run on every alpha rather than once per
+    gap class, and the radicand m_mu d_mu taken from the Weyl dimension and
+    the hook-length formula."""
     total = Fraction(0)
     all_exact = True
     for alpha in enumerate_diagrams(N - k, d):
@@ -202,6 +204,26 @@ class TestAgainstReferenceSums:
     def test_qudit_exact_points(self, N, k, d):
         assert psucc_exact(N, k, d) == reference_psucc_exact(N, k, d)
         assert fidelity_exact(N, k, d) == reference_fidelity_exact(N, k, d)
+
+    # most row gaps of (60, 3, 3) exceed k, and (14, 3, 6) has gap vectors
+    # longer than small_grid's
+    @pytest.mark.parametrize("N,k,d", [(60, 3, 3), (14, 3, 6)])
+    def test_fidelity_beyond_small_grid(self, N, k, d):
+        assert fidelity_exact(N, k, d) == reference_fidelity_exact(N, k, d)
+
+    def test_fidelity_keeps_no_table_between_calls(self):
+        # the growth and radicand tables live for one call only
+        fidelity_exact(*QUDIT_EXACT_POINTS[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for point in QUDIT_EXACT_POINTS:
+                fidelity_exact(*point)
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 4096
 
     @pytest.mark.parametrize("N", [100, 201])
     def test_psucc_single_qutrit_at_large_n(self, N):

@@ -143,3 +143,38 @@ class TestBoxAddition:
         reached = dict(add_boxes(alpha, k, max_rows))
         for mu in enumerate_diagrams(sum(alpha) + k, max_rows):
             assert reached.get(mu, 0) == growth_paths_brute(alpha, mu, max_rows)
+
+
+def gap_class_shift(alpha, k, d):
+    """The smallest diagram whose row gaps over d padded rows are those of
+    ``alpha`` capped at k, and the row-by-row shift from it to ``alpha``."""
+    rows = alpha + (0,) * (d - len(alpha))
+    gaps = [min(a - b, k) for a, b in zip(rows, rows[1:])]
+    smallest = tuple(sum(gaps[i:]) for i in range(d - 1)) + (0,)
+    return as_diagram(smallest), tuple(a - s for a, s in zip(rows, smallest))
+
+
+def shifted(mu, shift):
+    padded = mu + (0,) * (len(shift) - len(mu))
+    return as_diagram(m + s for m, s in zip(padded, shift))
+
+
+class TestGapClassInvariance:
+    """add_boxes depends on alpha only through its row gaps capped at k:
+    fidelity_exact grows each class once and shifts the table onto alpha."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_table_is_the_representative_table_shifted(self, d, k, data):
+        gaps = data.draw(st.lists(st.integers(0, k + 3), min_size=d, max_size=d))
+        alpha = as_diagram(sum(gaps[i:]) for i in range(d))
+        smallest, shift = gap_class_shift(alpha, k, d)
+        expected = [(shifted(mu, shift), paths) for mu, paths in add_boxes(smallest, k, d)]
+        assert add_boxes(alpha, k, d) == expected
+
+    def test_cap_below_k_loses_targets(self):
+        # at d = k = 2 the gap 2 of (2,) lets the second row take both boxes;
+        # with the cap at k - 1 = 1, (2,) would share the table of (1,),
+        # whose second row is blocked after one box
+        assert ((2, 2), 1) in add_boxes((2,), 2, 2)
+        assert [shifted(mu, (1, 0)) for mu, _ in add_boxes((1,), 2, 2)] == [(4,), (3, 1)]
