@@ -308,6 +308,32 @@ def _trace_of_square(a: np.ndarray) -> float:
     return math.fsum(float(np.einsum("ij,ji->", a[s, t], a[t, s])) for s in tiles for t in tiles)
 
 
+def _povm_valid(p: ProtocolParams, rho: np.ndarray) -> bool:
+    """Completeness and positivity of p's square-root measurement, read from
+    the weight blocks of ``simulate.rho_and_srm`` on the signal sum rho.
+
+    The blocks' indices must partition the index space.  Columns of different
+    weights share no row, so W W^T = I, for W the factors side by side, holds
+    when W_b^T W_b + K_b K_b^T = I on each block, W_b the rows of F_b.
+    Pi_i = F_i F_i^T shares its nonzero spectrum with the Grams F_b[i] F_b[i]^T
+    of its blocks, checked for all outcomes in one batch per block.
+    """
+    import numpy as np
+
+    _, blocks = simulate.rho_and_srm(p, rho=rho)
+    indices = np.sort(np.concatenate([b for b, _, _ in blocks]))
+    if not np.array_equal(indices, np.arange(p.d**p.n)):
+        return False
+    for b, F, K in blocks:
+        W = F.reshape(-1, b.size)
+        if np.abs(W.T @ W + K @ K.T - np.eye(b.size)).max() > 1e-10:
+            return False
+        for gram in (F @ F.transpose(0, 2, 1), K.T @ K):
+            if gram.size and np.linalg.eigvalsh(gram).min() < -1e-10:
+                return False
+    return True
+
+
 def _verify_checks(max_dim: int):
     """Yield (name, N, k, d, callable) verification checks up to max_dim."""
     import numpy as np
@@ -390,44 +416,7 @@ def _verify_checks(max_dim: int):
         if p.d**p.n <= min(max_dim, 512):
 
             def povm_valid(p=p, pipeline=pipeline) -> bool:
-                # With W the factors side by side, W W^T = I.  A column whose
-                # nonzeros share one U(1)^d weight adds to that weight's
-                # diagonal block of W W^T only, so completeness is checked
-                # one weight block at a time, on the columns of that weight
-                # (the weight of their first nonzero row).  A nonzero outside
-                # its column's block is counted by no block, which the count
-                # check after the loops catches.  The outcome factors are
-                # read in batches of at most _CELL_BUDGET cells, each batch's
-                # share of every block summed in.  Pi = F F^T shares its
-                # nonzero spectrum with F^T F, checked for every outcome in
-                # one batch, and the kernel's F^T F is then block diagonal.
-                _, factors = simulate.rho_and_srm(p, rho=pipeline()[0])
-                outcomes, kernel = factors[:-1], factors[-1]
-                keys = simulate._weight_keys(p)
-                blocks = simulate._weight_blocks(keys)
-                sums = [np.zeros((b.size, b.size)) for b in blocks]
-                grams, inside, total = [], 0, np.count_nonzero(kernel)
-                step = max(1, simulate._CELL_BUDGET // outcomes[0].size)
-                for lo in range(0, len(outcomes), step):
-                    W = np.stack(outcomes[lo : lo + step])
-                    W_keys = keys[(W != 0).argmax(axis=1)]
-                    for s, b in zip(sums, blocks):
-                        Wo = W[:, b].transpose(1, 0, 2)[:, W_keys == keys[b[0]]]
-                        inside += np.count_nonzero(Wo)
-                        s += Wo @ Wo.T
-                    total += np.count_nonzero(W)
-                    grams.append(np.matmul(W.transpose(0, 2, 1), W))
-                kernel_keys = keys[(kernel != 0).argmax(axis=0)]
-                for s, b in zip(sums, blocks):
-                    Wk = kernel[b][:, kernel_keys == keys[b[0]]]
-                    inside += np.count_nonzero(Wk)
-                    if np.abs(s + Wk @ Wk.T - np.eye(b.size)).max() > 1e-10:
-                        return False
-                    if Wk.shape[1] and np.linalg.eigvalsh(Wk.T @ Wk).min() < -1e-10:
-                        return False
-                if inside != total:
-                    return False
-                return np.linalg.eigvalsh(np.concatenate(grams)).min() >= -1e-10
+                return _povm_valid(p, pipeline()[0])
 
             yield ("povm-complete-positive", p.N, p.k, p.d, povm_valid)
 

@@ -20,8 +20,9 @@ U(1)^d weight of the basis indices, with the block structure checked exactly
 against rho's nonzeros.  rho^(-1/2) and the kernel basis stay in those
 blocks: rho is the only dim x dim matrix formed.  Every row of a group has
 the same weight, also checked in integers, so the per-outcome traces and the
-square-root-measurement factors read rho^(-1/2) one weight block at a time,
-and no per-outcome d**(N+k) x d**(N+k) matrix is formed either.
+square-root-measurement factors are read, and the factors kept, one weight
+block at a time: no per-outcome d**(N+k) x d**(N+k) matrix is formed, nor
+any dense d**(N+k) x d**(N-k) factor.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -245,38 +246,45 @@ def _chunk_runs(
     """Every chunk of outcomes (``_outcome_chunks``) as (its outcome count,
     the list of its weight runs).  Groups come in increasing key
     (``_signal_groups``), so the groups of one weight are contiguous; each
-    run is (their positions as a slice, that weight's (b, S_b, kernel) from
+    run is (that weight's position in ``blocks``, from
     ``_inverse_sqrt_on_support``, every outcome's rows of those groups as
-    positions inside b, shape (outcomes, groups, d**k))."""
+    positions inside its basis indices, shape (outcomes, groups, d**k)).
+    Every chunk must give the first chunk's weights; otherwise ValueError."""
     import numpy as np
 
     local = np.empty_like(keys)
     by_key = {}
-    for block in blocks:
-        local[block[0]] = np.arange(block[0].size)
-        by_key[keys[block[0][0]]] = block
+    for j, (b, _, _) in enumerate(blocks):
+        local[b] = np.arange(b.size)
+        by_key[keys[b[0]]] = j
+    reference = None
     for ports in _outcome_chunks(p):
         groups = _signal_groups(ports, p, keys)
         first = keys[groups[0, :, 0]]
+        if reference is None:
+            reference = first
+        elif not np.array_equal(first, reference):
+            raise ValueError("outcomes differ in the U(1)^d weights of their groups")
         cuts = [0, *(np.flatnonzero(np.diff(first)) + 1), first.size]
         yield len(ports), [
-            (slice(lo, hi), by_key[first[lo]], local[groups[:, lo:hi]])
-            for lo, hi in zip(cuts[:-1], cuts[1:])
+            (by_key[first[lo]], local[groups[:, lo:hi]]) for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
 
 def rho_and_srm(
     p: ProtocolParams, rho: np.ndarray | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The signal sum and the square-root-measurement POVM in factored form.
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The signal sum and the square-root-measurement POVM, factored and kept
+    in U(1)^d weight blocks.
 
-    The returned list holds one dim x d**(N-k) factor F_i = sqrt(v) S G_i per
-    outcome (ordered as ``all_port_tuples``), with S = rho^(-1/2), v = 1/d^N
-    and Pi_i = F_i F_i^T, plus an orthonormal basis K of rho's kernel as the
-    final failure element K K^T.  With W the factors side by side, W W^T is
-    the identity.  Each group of G_i lies in one weight, so its column of F_i
-    is read from that weight's block of S and is zero off the block; no
-    dim x dim matrix is formed.  ``rho`` may be passed in when the caller
+    Outcome i's element is Pi_i = F_i F_i^T with F_i = sqrt(v) S G_i,
+    S = rho^(-1/2) and v = 1/d^N; each group of G_i lies in one weight, so
+    its column of F_i is zero off that weight's indices.  The failure element
+    is K K^T for an orthonormal basis K of rho's kernel.  The list holds, for
+    each weight in the order of ``_inverse_sqrt_on_support``, (its basis
+    indices b, F_b, its kernel vectors K_b over b); F_b[i] holds outcome i's
+    columns of that weight over b, shape (outcomes, groups, b.size), outcomes
+    in ``all_port_tuples`` order.  ``rho`` may be passed in when the caller
     already built the signal sum.
     """
     import numpy as np
@@ -284,26 +292,22 @@ def rho_and_srm(
     if rho is None:
         rho = signal_sum(p)
     blocks = _inverse_sqrt_on_support(rho, p)
-    dim = p.d**p.n
-    kernel = np.zeros((dim, sum(ker.shape[1] for _, _, ker in blocks)))
-    col = 0
-    for b, _, ker in blocks:
-        kernel[b, col : col + ker.shape[1]] = ker
-        col += ker.shape[1]
     scale = math.sqrt(1.0 / p.d**p.N)
-    factors = []
+    factors = [np.zeros((p.num_signals, 0, b.size)) for b, _, _ in blocks]
+    done = 0
     for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
-        chunk = np.zeros((n, dim, p.d ** (p.N - p.k)))
-        for cols, (b, block, _), idx in runs:
-            # S is symmetric, so S G_i's column for a group is the sum of the
-            # group's rows of S, all inside the group's weight block
+        for j, idx in runs:
+            b, block, _ = blocks[j]
+            if not done:
+                factors[j] = np.empty((p.num_signals, idx.shape[1], b.size))
+            # this chunk's outcomes only; S is symmetric, so a group's column
+            # of S G_i is the sum of the group's rows of S
+            own = factors[j][done : done + n]
             step = max(1, _CELL_BUDGET // (idx[0].size * b.size))
             for lo in range(0, n, step):
-                rows = block[idx[lo : lo + step]].sum(axis=2)
-                chunk[lo : lo + step, b, cols] = scale * rows.transpose(0, 2, 1)
-        factors += list(chunk)
-    factors.append(kernel)
-    return rho, factors
+                own[lo : lo + step] = scale * block[idx[lo : lo + step]].sum(axis=2)
+        done += n
+    return rho, [(b, F, ker) for (b, _, ker), F in zip(blocks, factors)]
 
 
 def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.ndarray:
@@ -331,7 +335,8 @@ def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.nd
     out = []
     for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
         squares = np.zeros(n)
-        for _, (_, block, _), idx in runs:
+        for j, idx in runs:
+            block = blocks[j][1]
             n_groups = idx.shape[1]
             idx = idx.reshape(n, -1)
             step = max(1, _CELL_BUDGET // idx.shape[1] ** 2)

@@ -42,6 +42,42 @@ def names_used_in_package() -> set[str]:
     return used
 
 
+def private_reads_across_modules() -> list[str]:
+    """Every read, in a ``portcap`` module, of an underscore name of another
+    ``portcap`` module: ``from .m import _x``, or ``m._x`` for a module ``m``
+    bound by ``from . import m``.  Dunder names are not counted."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            inside = node.level > 0 or (node.module or "").split(".")[0] == "portcap"
+            if inside and node.module in (None, "portcap"):
+                modules |= {alias.asname or alias.name for alias in node.names}
+            elif inside:
+                found += [f"{path.name}: from {node.module} import {alias.name}"
+                          for alias in node.names if private(alias.name)]
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and private(node.attr)
+        ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # an underscore name is its module's own: a format or helper that two
+    # modules must know belongs behind one of them
+    assert private_reads_across_modules() == []
+
+
 def test_all_names_resolve_once():
     names = portcap.__all__
     assert len(names) == len(set(names))

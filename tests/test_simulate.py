@@ -171,8 +171,9 @@ def reference_inverse_sqrt_on_support(rho, p):
 
 
 def reference_factors(p):
-    """``rho_and_srm``'s factors from the dense embedding: each group's column
-    of S G_i is its rows of S summed, read across the whole index space."""
+    """The SRM factors from the dense embedding: each outcome's dim x
+    d**(N-k) factor S G_i, a group's column its rows of S summed across the
+    whole index space, and the dim x n_ker kernel basis last."""
     inv_sqrt, kernel = reference_inverse_sqrt_on_support(signal_sum(p), p)
     scale = math.sqrt(1.0 / p.d**p.N)
     return [scale * inv_sqrt[g].sum(axis=1).T for g in group_table(p)] + [kernel]
@@ -204,10 +205,28 @@ def dense_srm(p):
     return sigmas, [inv_sqrt @ sigma @ inv_sqrt for sigma in sigmas]
 
 
+def embedded_factors(p):
+    """``rho_and_srm``'s weight blocks embedded in the full index space, in
+    the layout of ``reference_factors``: each outcome's columns weight by
+    weight, zero off the weight's basis indices, and the kernel last."""
+    _, blocks = rho_and_srm(p)
+    dim = p.d**p.n
+    outcomes = np.zeros((p.num_signals, dim, p.d ** (p.N - p.k)))
+    kernel = np.zeros((dim, sum(ker.shape[1] for _, _, ker in blocks)))
+    col = ker_col = 0
+    for b, F, ker in blocks:
+        assert F.shape[::2] == (p.num_signals, b.size) and ker.shape[0] == b.size, p
+        outcomes[:, b, col : col + F.shape[1]] = F.transpose(0, 2, 1)
+        kernel[b, ker_col : ker_col + ker.shape[1]] = ker
+        col += F.shape[1]
+        ker_col += ker.shape[1]
+    assert col == outcomes.shape[2], p
+    return [*outcomes, kernel]
+
+
 def materialized_povm(p):
     """Every POVM element Pi = F F^T of ``rho_and_srm``'s factors."""
-    _, factors = rho_and_srm(p)
-    return [f @ f.T for f in factors]
+    return [f @ f.T for f in embedded_factors(p)]
 
 
 class TestSrm:
@@ -244,8 +263,7 @@ class TestSrm:
 
     def test_kernel_factor_is_an_orthonormal_kernel_basis(self):
         for p in [ProtocolParams(2, 1, 2), ProtocolParams(3, 1, 3)]:
-            rho, factors = rho_and_srm(p)
-            kernel = factors[-1]
+            rho, kernel = signal_sum(p), embedded_factors(p)[-1]
             assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() < 1e-12
             assert np.abs(rho @ kernel).max() < 1e-10
 
@@ -377,14 +395,21 @@ class TestSignalFactorization:
 
         def patched(ports, q):
             rows, cols = (a.copy() for a in coords(ports, q))
-            rows[1], cols[1] = relabel[rows[1]], relabel[cols[1]]
+            hit = (np.asarray(ports) == all_tuples(p)[1]).all(axis=1)
+            rows[hit], cols[hit] = relabel[rows[hit]], relabel[cols[hit]]
             return rows, cols
 
         monkeypatch.setattr(simulate, "_signal_coords", patched)
         with pytest.raises(ValueError, match="outcomes differ"):
             group_table(p)
-        with pytest.raises(ValueError, match="outcomes differ"):
-            srm_signal_traces(p, rho=rho)
+        # one outcome per chunk: each chunk's weights are compared with the
+        # first chunk's, not only within the chunk
+        for budget in (simulate._CELL_BUDGET, 1):
+            monkeypatch.setattr(simulate, "_CELL_BUDGET", budget)
+            with pytest.raises(ValueError, match="outcomes differ"):
+                srm_signal_traces(p, rho=rho)
+            with pytest.raises(ValueError, match="outcomes differ"):
+                rho_and_srm(p, rho=rho)
 
     def test_tiny_cell_budget_gives_the_same_results(self, monkeypatch):
         # one outcome per batch and per gather against one batch of all
@@ -392,10 +417,13 @@ class TestSignalFactorization:
         default = [(signal_sum(p), srm_signal_traces(p), rho_and_srm(p)[1]) for p in cases]
         monkeypatch.setattr(simulate, "_CELL_BUDGET", 1)
         assert all(len(simulate._outcome_chunks(p)) == p.num_signals for p in cases)
-        for p, (rho, traces, factors) in zip(cases, default):
+        for p, (rho, traces, blocks) in zip(cases, default):
             assert np.array_equal(signal_sum(p), rho), p
             assert np.array_equal(srm_signal_traces(p), traces), p
-            assert all(np.array_equal(f, g) for f, g in zip(rho_and_srm(p)[1], factors)), p
+            tiny = rho_and_srm(p)[1]
+            assert len(tiny) == len(blocks), p
+            for got, want in zip(tiny, blocks):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want)), p
 
 
 class TestWeightBlocks:
@@ -429,7 +457,7 @@ class TestWeightBlocks:
     def test_block_form_matches_the_dense_embedding_bit_for_bit(self):
         for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
             assert np.array_equal(srm_signal_traces(p), reference_signal_traces(p)), p
-            _, factors = rho_and_srm(p)
+            factors = embedded_factors(p)
             reference = reference_factors(p)
             assert len(factors) == len(reference), p
             assert all(np.array_equal(f, g) for f, g in zip(factors, reference)), p
