@@ -139,9 +139,8 @@ def _fidelity_qubit(args: argparse.Namespace) -> EvalResult:
 
 
 def _psucc_mpbt(args: argparse.Namespace) -> EvalResult:
-    arith = performance.resolve_arith(args.N, args.arith, args.d)
     if args.d == 2:
-        return performance.psucc_qubit(args.N, args.k, arith)
+        return performance.psucc_qubit(args.N, args.k, args.arith)
     return performance.psucc_exact(args.N, args.k, args.d)
 
 
@@ -295,20 +294,7 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ verify --
 
 
-# Side of the tiles in which ``_trace_of_square`` reads a matrix.
-_TILE = 64
-
-
-def _trace_of_square(a: np.ndarray) -> float:
-    """tr(a a) = sum_ij a_ij a_ji, one pair of _TILE x _TILE tiles at a time,
-    so that the transposed operand is read from cache, with no temporary."""
-    import numpy as np
-
-    tiles = [slice(i, i + _TILE) for i in range(0, len(a), _TILE)]
-    return math.fsum(float(np.einsum("ij,ji->", a[s, t], a[t, s])) for s in tiles for t in tiles)
-
-
-def _povm_valid(p: ProtocolParams, rho: np.ndarray) -> bool:
+def _povm_valid(p: ProtocolParams, rho: simulate.WeightBlocks) -> bool:
     """Completeness and positivity of p's square-root measurement, read from
     the weight blocks of ``simulate.rho_and_srm`` on the signal sum rho.
 
@@ -382,9 +368,9 @@ def _verify_checks(max_dim: int):
             return rho, simulate.srm_signal_traces(p, rho=rho)
 
         def purity(p=p, pipeline=pipeline) -> bool:
-            rho, _ = pipeline()
-            trace = np.trace(rho)
-            lhs = _trace_of_square(rho) / trace**2
+            rho, _ = pipeline()  # zero off its weight blocks
+            trace = math.fsum(np.trace(block) for block in rho.blocks)
+            lhs = math.fsum(np.einsum("ij,ji->", block, block) for block in rho.blocks) / trace**2
             rhs = float(bounds.trace_rho_bar_squared(p.N, p.k, p.d))
             return abs(lhs - rhs) <= 1e-10 and abs(trace - p.num_signals) <= 1e-9
 
@@ -448,7 +434,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- main --
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="portcap",
         description="Performance of port-based and multi-port-based teleportation: "
@@ -529,8 +517,7 @@ def _check_log_arith(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_log_arith(args)
         status = args.func(args)

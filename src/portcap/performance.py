@@ -48,17 +48,13 @@ _EXP_ZERO = -746.0
 _CELL_BUDGET = 1 << 17
 
 
-def resolve_arith(N: int, arith: str, d: int = 2) -> str:
+def resolve_arith(N: int, arith: str) -> str:
     """The arithmetic path, "exact" or "log", that ``arith`` selects at N
-    ports of dimension d.  The log path exists for qubits only: "auto" takes
-    exact rationals up to EXACT_ARITH_MAX_N and at every d != 2, and "log"
-    at d != 2 raises."""
+    qubit ports: "auto" takes exact rationals up to EXACT_ARITH_MAX_N."""
     if arith not in ("auto", "exact", "log"):
         raise ValueError(f"arith must be auto/exact/log, got {arith!r}")
     if arith == "auto":
-        return "exact" if N <= EXACT_ARITH_MAX_N or d != 2 else "log"
-    if arith == "log" and d != 2:
-        raise ValueError(f"log-space arithmetic requires d=2, got d={d}")
+        return "exact" if N <= EXACT_ARITH_MAX_N else "log"
     return arith
 
 

@@ -15,14 +15,14 @@ Each signal has rank d**(N-k): it is 1/d^N times a sum of all-ones blocks
 over d**(N-k) groups of d**k rows, checked exactly, in integers, against the
 coordinates of every outcome.
 
-The signal sum rho is dense and diagonalized block by block, one block per
-U(1)^d weight of the basis indices, with the block structure checked exactly
-against rho's nonzeros.  rho^(-1/2) and the kernel basis stay in those
-blocks: rho is the only dim x dim matrix formed.  Every row of a group has
-the same weight, also checked in integers, so the per-outcome traces and the
-square-root-measurement factors are read, and the factors kept, one weight
-block at a time: no per-outcome d**(N+k) x d**(N+k) matrix is formed, nor
-any dense d**(N+k) x d**(N-k) factor.
+The signal sum rho is kept as its U(1)^d weight blocks: each signal
+coordinate is checked, in integers, to join two indices of one weight and is
+added straight into its block, so no dim x dim matrix is formed.  Each block
+is diagonalized on its own; rho^(-1/2) and the kernel basis stay in the same
+blocks.  Every row of a group has the same weight, also checked in integers,
+so the per-outcome traces and the square-root-measurement factors are read,
+and the factors kept, one weight block at a time: no per-outcome
+d**(N+k) x d**(N+k) matrix is formed, nor any dense d**(N+k) x d**(N-k) factor.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import ProtocolParams
 
@@ -42,6 +42,15 @@ SUPPORT_RTOL = 1e-12
 # Index cells per batch of outcomes: bounds the coordinate tables' and the
 # trace gathers' working memory at any dimension.
 _CELL_BUDGET = 1 << 17
+
+
+class WeightBlocks(NamedTuple):
+    """A dim x dim matrix zero off its U(1)^d weight blocks: each weight's
+    basis indices b, in ``_weight_blocks`` order, and its b x b block."""
+
+    shape: tuple[int, int]
+    indices: list[np.ndarray]
+    blocks: list[np.ndarray]
 
 
 def all_port_tuples(N: int, k: int) -> list[tuple[int, ...]]:
@@ -109,19 +118,31 @@ def _signal_coords(
     return rows, cols.reshape(len(ports), -1)
 
 
-def signal_sum(p: ProtocolParams) -> np.ndarray:
-    """Sum of all normalized signals (trace k! C(N,k)), accumulated from the
-    coordinate tables one chunk of outcomes at a time."""
+def signal_sum(p: ProtocolParams) -> WeightBlocks:
+    """Sum of all normalized signals (trace k! C(N,k)) as its U(1)^d weight
+    blocks, accumulated from the coordinate tables one chunk of outcomes at a
+    time.  A coordinate that joins indices of two weights (``_weight_keys``)
+    is a ValueError, checked in integers before anything is added."""
     import numpy as np
 
     dim = _check_guard(p)
-    rho = np.zeros((dim, dim))
-    flat = rho.reshape(-1)
+    keys = _weight_keys(p)
+    indices = _weight_blocks(keys)
+    # entry (i, j) of a block sits at start[i] + local[j] of one flat buffer
+    local, start, end = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64), 0
+    for b in indices:
+        local[b] = np.arange(b.size)
+        start[b] = end + b.size * local[b]
+        end += b.size**2
+    flat = np.zeros(end)
     val = 1.0 / p.d**p.N
     for ports in _outcome_chunks(p):
         rows, cols = _signal_coords(ports, p)
-        np.add.at(flat, (rows * dim + cols).reshape(-1), val)
-    return rho
+        if (keys[rows] != keys[cols]).any():
+            raise ValueError("a signal connects basis indices of two U(1)^d weights")
+        np.add.at(flat, (start[rows] + local[cols]).reshape(-1), val)
+    blocks = [flat[start[b[0]] : start[b[0]] + b.size**2].reshape(b.size, b.size) for b in indices]
+    return WeightBlocks((dim, dim), indices, blocks)
 
 
 def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np.ndarray:
@@ -196,43 +217,34 @@ def _weight_blocks(keys: np.ndarray) -> list[np.ndarray]:
 
 
 def _inverse_sqrt_on_support(
-    rho: np.ndarray, p: ProtocolParams
+    rho: WeightBlocks, p: ProtocolParams
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """rho^(-1/2) on its support and an orthonormal basis of the kernel, one
     U(1)^d weight block at a time, support decided by the relative eigenvalue
     threshold SUPPORT_RTOL.
 
     rho commutes with U^(x N) x conj(U)^(x k), so for diagonal U it only
-    connects basis indices of equal U(1)^d weight (``_weight_keys``).  Only
-    that phase symmetry is used, not the Schur-Weyl algebra the oracle
-    certifies.  The block structure is checked exactly: the blocks must hold
-    every nonzero of rho, or ValueError.  Each block is diagonalized on its
-    own and the support is decided against the largest eigenvalue of all
-    blocks.  Returns, for each weight in increasing key (``_weight_blocks``),
-    (the block's basis indices b, rho^(-1/2) restricted to b x b, the block's
-    kernel vectors as columns over b); rho^(-1/2) is zero off these blocks.
+    connects basis indices of equal U(1)^d weight (``_weight_keys``), as
+    ``signal_sum`` checks in integers.  Only that phase symmetry is used, not
+    the Schur-Weyl algebra the oracle certifies.  Each block is diagonalized
+    on its own and the support is decided against the largest eigenvalue of
+    all blocks.  Returns, for each weight of rho in order, (the block's basis
+    indices b, rho^(-1/2) restricted to b x b, the block's kernel vectors as
+    columns over b); rho^(-1/2) is zero off these blocks.
 
-    Each block's copy of rho is dropped once it is diagonalized, and each
-    eigenpair once its S block and kernel are formed, so one set of Sum |b|^2
-    floats is held beside the largest block's temporaries.
+    Each eigenpair is dropped once its S block and kernel are formed, so one
+    set of Sum |b|^2 floats is held beside rho and the largest block's
+    temporaries.
     """
     import numpy as np
 
     dim = p.d**p.n
     if rho.shape != (dim, dim):
         raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
-    blocks = _weight_blocks(_weight_keys(p))
-    eigs, inside = [], 0
-    for b in blocks:
-        sub = rho[np.ix_(b, b)]
-        inside += np.count_nonzero(sub)
-        eigs.append(np.linalg.eigh(sub))
-    del sub
-    if inside != np.count_nonzero(rho):
-        raise ValueError("rho connects basis indices of different U(1)^d weight")
+    eigs = [np.linalg.eigh(block) for block in rho.blocks]
     cut = SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
     out = []
-    for b in blocks:
+    for b in rho.indices:
         vals, vecs = eigs.pop(0)
         keep = vals > cut
         vs = vecs[:, keep]
@@ -272,8 +284,8 @@ def _chunk_runs(
 
 
 def rho_and_srm(
-    p: ProtocolParams, rho: np.ndarray | None = None
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    p: ProtocolParams, rho: WeightBlocks | None = None
+) -> tuple[WeightBlocks, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The signal sum and the square-root-measurement POVM, factored and kept
     in U(1)^d weight blocks.
 
@@ -310,7 +322,7 @@ def rho_and_srm(
     return rho, [(b, F, ker) for (b, _, ker), F in zip(blocks, factors)]
 
 
-def srm_signal_traces(p: ProtocolParams, rho: np.ndarray | None = None) -> np.ndarray:
+def srm_signal_traces(p: ProtocolParams, rho: WeightBlocks | None = None) -> np.ndarray:
     """tr(Pi_i sigma_i) for every outcome, without materializing the POVM.
 
     With sigma_i = v G_i G_i^T (v = 1/d^N, see ``_signal_groups``) and

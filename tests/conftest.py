@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 
 def count_syt_brute(shape: tuple[int, ...]) -> int:
     """Count standard fillings by backtracking over cells in row-major order."""
@@ -88,3 +90,45 @@ def growth_paths_brute(
         ) <= len(mu):
             total += growth_paths_brute(grown, mu, max_rows)
     return total
+
+
+def reference_coords(ports, p):
+    """Row/column indices of one signal's d**(N+k) nonzeros, built one port
+    tuple at a time: the reference for the batched coordinate tables."""
+    N, k, d = p.N, p.k, p.d
+    if len(ports) != k or len(set(ports)) != k or any(not 1 <= q <= N for q in ports):
+        raise ValueError(f"ports must be {k} distinct indices in [1, {N}], got {ports}")
+    da, db = d**N, d**k
+    port_weights = [d ** (N - q) for q in ports]
+    slot_weights = [d ** (k - 1 - t) for t in range(k)]
+
+    x = np.arange(da, dtype=np.int64)
+    digits = [(x // w) % d for w in port_weights]
+    u = sum(dig * sw for dig, sw in zip(digits, slot_weights))
+    base = x - sum(dig * w for dig, w in zip(digits, port_weights))
+    rows = np.repeat(x * db + u, db)
+
+    w_all = np.arange(db, dtype=np.int64)
+    wdigits = [(w_all // sw) % d for sw in slot_weights]
+    y_offsets = sum(wd * pw for wd, pw in zip(wdigits, port_weights))
+    cols = (base[:, None] * db + (y_offsets * db + w_all)[None, :]).reshape(-1)
+    return rows, cols
+
+
+def reference_signal_sum(p):
+    """The signal sum as a dense dim x dim matrix, one signal at a time from
+    ``reference_coords``, in lexicographic port-tuple order."""
+    rho = np.zeros((p.d**p.n, p.d**p.n))
+    for ports in itertools.permutations(range(1, p.N + 1), p.k):
+        rows, cols = reference_coords(ports, p)
+        rho[rows, cols] += 1.0 / p.d**p.N
+    return rho
+
+
+def dense_rho(rho):
+    """A weight-block matrix (``simulate.WeightBlocks``) embedded in its
+    full dim x dim index space."""
+    out = np.zeros(rho.shape)
+    for b, block in zip(rho.indices, rho.blocks):
+        out[np.ix_(b, b)] = block
+    return out

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import dense_rho, reference_signal_sum
 from scipy import integrate
 
 import portcap as pc
@@ -68,7 +69,9 @@ def test_criterion_01_trace_formulas():
 
 def test_criterion_02_normalized_purity():
     for N, k, d in PURITY_GRID:
-        rho = signal_sum(ProtocolParams(N, k, d))
+        p = ProtocolParams(N, k, d)
+        rho = reference_signal_sum(p)
+        assert np.array_equal(dense_rho(signal_sum(p)), rho), (N, k, d)
         rho_bar = rho / np.trace(rho)
         matrix = float((rho_bar * rho_bar.T).sum())
         closed = float(pc.trace_rho_bar_squared(N, k, d))

@@ -356,12 +356,6 @@ class TestVerifyCommand:
             break
         assert peak < factor_bytes
 
-    def test_tiled_trace_of_square_matches_the_matrix_product(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 63, 64, 150):
-            a = rng.standard_normal((n, n))
-            assert cli._trace_of_square(a) == pytest.approx(np.trace(a @ a), rel=1e-12, abs=1e-12)
-
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
@@ -369,3 +363,17 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_calls_in_one_process_share_the_parser_but_no_state(self, capsys):
+        # the parser is built once per process; a call after another with
+        # different argv prints what it prints alone, the omitted --d included
+        first = ("fidelity", "--method", "exact", "--N", "6", "--k", "2", "--d", "3")
+        second = ("fidelity", "--method", "exact", "--N", "5", "--k", "2")
+        alone = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        parser = cli.build_parser()
+        assert [run_cli(capsys, *argv) for argv in (first, second)] == alone
+        assert cli.build_parser() is parser
+        assert alone[0][1] != alone[1][1] and ",3,fidelity," in alone[0][1]

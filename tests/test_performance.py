@@ -461,12 +461,6 @@ class TestQubitClosedForms:
 
 
 class TestResolveArith:
-    def test_auto_stays_exact_without_a_log_path(self):
-        assert resolve_arith(201, "auto", d=3) == "exact"
-        assert resolve_arith(10**6, "auto", d=4) == "exact"
-
     def test_explicit_paths(self):
         assert resolve_arith(10, "log") == "log"
-        assert resolve_arith(10**6, "exact", d=3) == "exact"
-        with pytest.raises(ValueError):
-            resolve_arith(10, "log", d=3)
+        assert resolve_arith(10**6, "exact") == "exact"

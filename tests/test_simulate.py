@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_rho, reference_coords, reference_signal_sum
 
 from portcap.bounds import (
     fidelity_bound_ratio,
@@ -26,29 +27,6 @@ from portcap.simulate import (
 )
 
 SMALL = feasible_instances(max_dim=256)  # runs up to d=5 with dims <= 256
-
-
-def reference_coords(ports, p):
-    """Row/column indices of one signal's d**(N+k) nonzeros, built one port
-    tuple at a time: the reference for the batched coordinate tables."""
-    N, k, d = p.N, p.k, p.d
-    if len(ports) != k or len(set(ports)) != k or any(not 1 <= q <= N for q in ports):
-        raise ValueError(f"ports must be {k} distinct indices in [1, {N}], got {ports}")
-    da, db = d**N, d**k
-    port_weights = [d ** (N - q) for q in ports]
-    slot_weights = [d ** (k - 1 - t) for t in range(k)]
-
-    x = np.arange(da, dtype=np.int64)
-    digits = [(x // w) % d for w in port_weights]
-    u = sum(dig * sw for dig, sw in zip(digits, slot_weights))
-    base = x - sum(dig * w for dig, w in zip(digits, port_weights))
-    rows = np.repeat(x * db + u, db)
-
-    w_all = np.arange(db, dtype=np.int64)
-    wdigits = [(w_all // sw) % d for sw in slot_weights]
-    y_offsets = sum(wd * pw for wd, pw in zip(wdigits, port_weights))
-    cols = (base[:, None] * db + (y_offsets * db + w_all)[None, :]).reshape(-1)
-    return rows, cols
 
 
 def reference_groups(ports, p):
@@ -130,22 +108,43 @@ class TestSignals:
 
 
 class TestSignalSum:
+    def test_blocks_match_the_per_tuple_reference_bit_for_bit(self):
+        for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
+            rho = signal_sum(p)
+            blocks = simulate._weight_blocks(simulate._weight_keys(p))
+            assert rho.shape == (p.d**p.n, p.d**p.n), p
+            assert all(np.array_equal(a, b) for a, b in zip(rho.indices, blocks)), p
+            assert len(rho.indices) == len(blocks) == len(rho.blocks), p
+            assert np.array_equal(dense_rho(rho), reference_signal_sum(p)), p
+
     def test_trace_counts_outcomes(self):
         for p in SMALL:
-            rho = signal_sum(p)
+            rho = reference_signal_sum(p)
             assert abs(np.trace(rho) - p.num_signals) < 1e-9
 
     def test_purity_matches_closed_form(self):
         for p in SMALL:
-            rho = signal_sum(p)
+            rho = reference_signal_sum(p)
             rho_bar = rho / np.trace(rho)
             lhs = float((rho_bar * rho_bar.T).sum())
             assert abs(lhs - float(trace_rho_bar_squared(p.N, p.k, p.d))) < 1e-10, p
 
+    def test_dim_4096_peaks_below_a_quarter_of_the_dense_matrix(self):
+        # the 128 MB dense rho at dim 4096 is never formed: the blocks and one
+        # chunk's coordinate tables stay under a quarter of it
+        p = ProtocolParams(9, 3, 2)
+        tracemalloc.start()
+        try:
+            signal_sum(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (p.d**p.n) ** 2 / 4
+
 
 def dense_inverse_sqrt(p):
     """rho^(-1/2) on its support, from a dense eigensolve of the signal sum."""
-    rho = signal_sum(p)
+    rho = reference_signal_sum(p)
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > 1e-12 * vals.max()
     return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
@@ -174,7 +173,7 @@ def reference_factors(p):
     """The SRM factors from the dense embedding: each outcome's dim x
     d**(N-k) factor S G_i, a group's column its rows of S summed across the
     whole index space, and the dim x n_ker kernel basis last."""
-    inv_sqrt, kernel = reference_inverse_sqrt_on_support(signal_sum(p), p)
+    inv_sqrt, kernel = reference_inverse_sqrt_on_support(reference_signal_sum(p), p)
     scale = math.sqrt(1.0 / p.d**p.N)
     return [scale * inv_sqrt[g].sum(axis=1).T for g in group_table(p)] + [kernel]
 
@@ -182,7 +181,7 @@ def reference_factors(p):
 def reference_signal_traces(p):
     """``srm_signal_traces`` from the dense embedding, one outcome at a time:
     for each weight, the group pairs' blocks of S read straight from S."""
-    inv_sqrt, _ = reference_inverse_sqrt_on_support(signal_sum(p), p)
+    inv_sqrt, _ = reference_inverse_sqrt_on_support(reference_signal_sum(p), p)
     keys = simulate._weight_keys(p)
     db, v = p.d**p.k, 1.0 / p.d**p.N
     out = []
@@ -263,7 +262,7 @@ class TestSrm:
 
     def test_kernel_factor_is_an_orthonormal_kernel_basis(self):
         for p in [ProtocolParams(2, 1, 2), ProtocolParams(3, 1, 3)]:
-            rho, kernel = signal_sum(p), embedded_factors(p)[-1]
+            rho, kernel = reference_signal_sum(p), embedded_factors(p)[-1]
             assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() < 1e-12
             assert np.abs(rho @ kernel).max() < 1e-10
 
@@ -355,8 +354,8 @@ class TestSignalFactorization:
 
     def test_group_spanning_two_weights_is_rejected(self, monkeypatch):
         # swapping two basis indices of different weight keeps every signal a
-        # sum of all-ones blocks, but puts one index into a group of the
-        # other's weight
+        # sum of all-ones blocks, but puts one index into a group, and one
+        # coordinate of the signal sum, of the other's weight
         coords = simulate._signal_coords
         p = ProtocolParams(4, 2, 2)
         rho = signal_sum(p)
@@ -368,6 +367,8 @@ class TestSignalFactorization:
             simulate, "_signal_coords",
             lambda ports, q: tuple(relabel[x] for x in coords(ports, q)),
         )
+        with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
+            signal_sum(p)
         with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
             group_table(p)
         with pytest.raises(ValueError, match=r"two U\(1\)\^d weights"):
@@ -418,7 +419,7 @@ class TestSignalFactorization:
         monkeypatch.setattr(simulate, "_CELL_BUDGET", 1)
         assert all(len(simulate._outcome_chunks(p)) == p.num_signals for p in cases)
         for p, (rho, traces, blocks) in zip(cases, default):
-            assert np.array_equal(signal_sum(p), rho), p
+            assert np.array_equal(dense_rho(signal_sum(p)), dense_rho(rho)), p
             assert np.array_equal(srm_signal_traces(p), traces), p
             tiny = rho_and_srm(p)[1]
             assert len(tiny) == len(blocks), p
@@ -431,9 +432,9 @@ class TestWeightBlocks:
         # one instance at each d in 2..5, plus one with k = N
         for p in [ProtocolParams(4, 2, 2), ProtocolParams(3, 1, 3), ProtocolParams(2, 1, 4),
                   ProtocolParams(2, 1, 5), ProtocolParams(3, 3, 2)]:
-            rho = signal_sum(p)
+            rho = reference_signal_sum(p)
             dim = len(rho)
-            blocks = simulate._inverse_sqrt_on_support(rho, p)
+            blocks = simulate._inverse_sqrt_on_support(signal_sum(p), p)
             indices = np.concatenate([b for b, _, _ in blocks])
             assert np.array_equal(np.sort(indices), np.arange(dim)), p
             inv_sqrt = np.zeros_like(rho)
@@ -472,22 +473,16 @@ class TestWeightBlocks:
             pairs = set(zip(weights, keys.tolist()))
             assert len(pairs) == len(set(weights)) == len(set(keys.tolist())), p
 
-    def test_off_block_entry_and_wrong_shape_are_rejected(self):
+    def test_wrong_shape_is_rejected(self):
         p = ProtocolParams(4, 2, 2)
         rho = signal_sum(p)
-        keys = simulate._weight_keys(p)
-        i, j = 0, int(np.flatnonzero(keys != keys[0])[0])
-        rho[i, j] = rho[j, i] = 1e-3
         with pytest.raises(ValueError):
-            simulate._inverse_sqrt_on_support(rho, p)
-        with pytest.raises(ValueError):
-            simulate._inverse_sqrt_on_support(rho[:-1, :-1], p)
+            simulate._inverse_sqrt_on_support(rho._replace(shape=(63, 63)), p)
 
     def test_solve_holds_about_one_copy_of_the_blocks(self):
-        # each block's copy of rho goes once it is solved and each eigenpair
-        # once its S block is formed: the eigenvectors, then the S blocks,
-        # make one set of sum |b|^2 floats, beside the largest block's
-        # temporaries.  Keeping every copy alive held three to four sets.
+        # each eigenpair goes once its S block is formed: the eigenvectors,
+        # then the S blocks, make one set of sum |b|^2 floats, beside the
+        # largest block's temporaries
         p = ProtocolParams(7, 3, 2)
         rho = signal_sum(p)
         one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(simulate._weight_keys(p)))
