@@ -28,12 +28,13 @@ test suite through exact agreement with the general-d sums.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 from .asymptotics import psucc_largeN
 from .core import EvalResult, ProtocolParams
-from .exactmath import exp_normal, ln_int, logsumexp, square_of_radical_sum
+from .exactmath import exp_normal, ln_int, logsumexp, sum_of_radical_squares
 from .tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
 
 # Default switch from exact rationals to the log-space float path.
@@ -74,7 +75,8 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     square lies below its true value by a relative error under 2**-127 (see
     ``square_of_radical_sum``), so the sum does too, and the float is the
     true value rounded to nearest unless a rounding boundary lies within
-    that error of it.
+    that error of it.  ``sum_of_radical_squares`` adds the blocks exactly,
+    as integers over one power of two.
 
     The growth table of ``alpha`` depends only on its row gaps, each capped
     at k: before the t-th of k added boxes a row has gained at most t - 1 < k
@@ -116,10 +118,8 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     # for each class of capped gaps, the (code of the boxes gained, path
     # count) of every growth; for this call only, like the radicand cache
     growth: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    total = Fraction(0)
-    all_exact = True
-    roots: dict[int, int] = {}  # m_mu d_mu recurs across the blocks alpha
-    for alpha in enumerate_diagrams(N - k, d):
+
+    def terms(alpha):
         rows = alpha + (0,) * (d - len(alpha))
         gaps = tuple(min(a - b, k) for a, b in zip(rows, rows[1:]))
         table = growth.get(gaps)
@@ -129,10 +129,9 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
             table = growth[gaps] = [(code(mu) - start, paths)
                                     for mu, paths in add_boxes(smallest, k, d)]
         origin = code(rows)
-        terms = [(paths, radicand(origin + gained)) for gained, paths in table]
-        block, ok = square_of_radical_sum(terms, roots=roots)
-        total += block
-        all_exact = all_exact and ok
+        return [(paths, radicand(origin + gained)) for gained, paths in table]
+
+    total, all_exact = sum_of_radical_squares(map(terms, enumerate_diagrams(N - k, d)))
     return _exact_result(total / Fraction(d) ** (N + 2 * k), "schur-weyl-sum", all_exact)
 
 
@@ -161,14 +160,6 @@ def psucc_exact(N: int, k: int, d: int = 2) -> EvalResult:
     full = math.prod(range(d, d + N))
     num = sum(w * (full // math.prod(range(d + a, d + a + k))) for a, w in weight.items())
     return _exact_result(Fraction(num * math.perm(N, k), d**N * full), "schur-weyl-sum")
-
-
-def _two_s_range(N: int, k: int) -> range:
-    return range((N - k) % 2, N - k + 1, 2)
-
-
-def _two_j_range(N: int, two_s: int, k: int) -> range:
-    return range(max(N % 2, two_s - k), two_s + k + 1, 2)
 
 
 def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
@@ -200,21 +191,20 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     # h(s, j) = C(k, lo) - C(k, hi): lo lies in 0..k,
     # C(k, hi) vanishes for hi > k, and lo + hi > k makes every count positive
     if resolve_arith(N, arith) == "exact":
-        choose_k = [math.comb(k, m) for m in range(k + 1)]
-        choose_n = [math.comb(N + 1, m) for m in range(N // 2 + 1)]
-        total = Fraction(0)
-        all_exact = True
-        roots: dict[int, int] = {}  # C(N+1, m) recurs across the blocks s
-        for two_s in _two_s_range(N, k):
-            terms = []
-            for two_j in _two_j_range(N, two_s, k):
-                lo = (two_s - two_j + k) // 2
-                hi = (two_s + two_j + k) // 2 + 1
-                h = choose_k[lo] - choose_k[hi] if hi <= k else choose_k[lo]
-                terms.append((h * (two_j + 1), choose_n[(N - two_j) // 2]))
-            block, ok = square_of_radical_sum(terms, roots=roots)
-            total += block
-            all_exact = all_exact and ok
+        # C(k, m) up to the largest hi, N + 1; C(N+1, m) stepped exactly up to N/2
+        choose_k = [math.comb(k, m) for m in range(N + 2)]
+        choose_n = list(itertools.accumulate(
+            range(N // 2), lambda c, m: c * (N + 1 - m) // (m + 1), initial=1))
+
+        def terms(two_s):
+            # with top = 2s + k, lo = u gives 2j = top - 2u, hi = top + 1 - u
+            # and N/2 - j = (N - top)/2 + u, down to 2j = max(N % 2, 2s - k)
+            top = two_s + k
+            base = (N - top) // 2
+            return [((choose_k[u] - choose_k[top + 1 - u]) * (top + 1 - 2 * u), choose_n[base + u])
+                    for u in range((top - max(N % 2, two_s - k)) // 2 + 1)]
+
+        total, all_exact = sum_of_radical_squares(map(terms, range((N - k) % 2, N - k + 1, 2)))
         value = total / (Fraction(2) ** (N + 2 * k) * (N + 1))
         return _exact_result(value, "angular-momentum", all_exact)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -90,6 +91,24 @@ def growth_paths_brute(
         ) <= len(mu):
             total += growth_paths_brute(grown, mu, max_rows)
     return total
+
+
+def fraction_square_of_radical_sum(terms):
+    """square_of_radical_sum in its Fraction-valued form, which callers add
+    into a running Fraction: the rational (sum_i c_i t_i)**2 / R_0 with
+    t_i = sqrt(R_0 R_i) when every R_0 R_i is a perfect square, else
+    (sum_i c_i isqrt(R_i 2**256))**2 / 2**256, flagged False."""
+    if any(c < 0 or r < 0 for c, r in terms):
+        raise ValueError("coefficients and radicands must be nonnegative")
+    live = [(c, r) for c, r in terms if c != 0 and r != 0]
+    if not live:
+        return Fraction(0), True
+    r0 = live[0][1]
+    roots = [math.isqrt(r0 * r) for _, r in live]
+    if all(t * t == r0 * r for t, (_, r) in zip(roots, live)):
+        return Fraction(sum(c * t for t, (c, _) in zip(roots, live)) ** 2, r0), True
+    num = sum(c * math.isqrt(r << 256) for c, r in live)
+    return Fraction(num * num, 1 << 256), False
 
 
 def reference_coords(ports, p):

@@ -64,6 +64,7 @@ GOLDEN = [
     ("compare --k-list 4,6,8 --N-range 8:60:4 --strict-packaging true", 0, "df552fcfa44f3eafabe7582e4b7c706f8501ea08c9496158ab980dc174ccf9bb"),
     ("compare --k-list 4,6,8 --N-range 8:60:4 --strict-packaging true --format json", 0, "160f5518888338625d79cd4fb4a2a16aa2ab5465b2e106f80974fd92430ceba3"),
     ("compare --k-list 4,6,8 --N-range 8:60:4 --strict-packaging false", 0, "5f0afa142cc3f2bd6128b09ddf02dce1eeac5081f8698cbb8bbd21d183b02585"),
+    ("compare --k-list 4,6,8 --N-range 100:200:4", 0, "994bcee143e86ffda53670fb79bd51b6038d40dd48f3fd76ed7a61edeb6e1ffe"),
     ("compare --k-list 2,5,12 --N-range 4:16:3", 0, "cbc5c86515234f0428f0a5ec778dc6fda29002b65860c963e93b2b8e7b4eca0f"),
     ("compare --k-list 2,5,12 --N-range 4:16:3 --strict-packaging true", 0, "99ed41b4b30ae87c4d3882d349ec21092d2d42a544814a0c61dd85db85d2b7f3"),
     ("compare --k-list 4,6,8 --N-range 300:600:61 --arith log", 0, "b094e2a0e7a4d0087293a789bb46f4c20eb4395dbbaaefbc2d89dd66b890d782"),

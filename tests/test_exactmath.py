@@ -5,12 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import fraction_square_of_radical_sum
 from portcap.exactmath import (
     exp_normal,
     ln_int,
     logsumexp,
     square_of_radical_sum,
+    sum_of_radical_squares,
 )
+
+# square_of_radical_sum returns its square in units of 2**-256
+UNIT = 1 << 256
 
 
 def sqrt_as_fraction(x):
@@ -80,31 +85,32 @@ class TestRadicals:
 
     def test_square_of_radical_sum_exact_case(self):
         # (2*sqrt(9) + 1*sqrt(4))^2 = (6+2)^2 = 64
-        total, exact = square_of_radical_sum([(2, 9), (1, 4)])
-        assert exact and total == 64
+        total, exact = square_of_radical_sum([(2, 9), (1, 4)], {})
+        assert exact and total == 64 * UNIT
 
     def test_square_of_radical_sum_irrational(self):
         # (1 + sqrt(3))^2 = 4 + 2 sqrt(3)
-        total, exact = square_of_radical_sum([(1, 1), (1, 3)])
+        total, exact = square_of_radical_sum([(1, 1), (1, 3)], {})
         assert not exact
-        assert abs(float(total) - (4 + 2 * math.sqrt(3))) < 1e-14
+        assert abs(total / UNIT - (4 + 2 * math.sqrt(3))) < 1e-14
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            square_of_radical_sum([(-1, 2)])
+            square_of_radical_sum([(-1, 2)], {})
 
     @pytest.mark.parametrize("terms", [[(-1, 0)], [(0, -3)], [(2, 9), (-5, 0)]])
     def test_rejects_negative_in_terms_that_vanish(self, terms):
         with pytest.raises(ValueError):
-            square_of_radical_sum(terms)
+            square_of_radical_sum(terms, {})
 
     @given(st.lists(st.tuples(st.integers(0, 2**64), _radicands), max_size=8))
     @example([(3, 8), (5, 18), (0, 7), (2, 0)])
     @example([(1, 2), (1, 3), (4, 12)])
     def test_matches_fraction_sum_reference(self, terms):
-        total, exact = square_of_radical_sum(terms)
+        total, exact = square_of_radical_sum(terms, {})
         ref_total, ref_exact = reference_square_of_radical_sum(terms)
         assert exact == ref_exact
+        total = Fraction(total, UNIT)
         if exact:
             assert total == ref_total
         else:
@@ -114,7 +120,7 @@ class TestRadicals:
 
     def test_all_pairs_square_but_not_the_first_radicand(self):
         # sqrt(2) + 3 sqrt(8) + sqrt(18) = 10 sqrt(2)
-        assert square_of_radical_sum([(1, 2), (3, 8), (1, 18)]) == (200, True)
+        assert square_of_radical_sum([(1, 2), (3, 8), (1, 18)], {}) == (200 * UNIT, True)
 
     @pytest.mark.parametrize(
         "terms,merged",
@@ -125,26 +131,36 @@ class TestRadicals:
         ],
     )
     def test_repeated_radicand_adds_its_coefficients(self, terms, merged):
-        assert square_of_radical_sum(terms) == square_of_radical_sum(merged)
+        assert square_of_radical_sum(terms, {}) == square_of_radical_sum(merged, {})
 
     @given(st.lists(st.lists(st.tuples(st.integers(0, 2**16), _radicands), max_size=6),
                     max_size=6))
     def test_shared_roots_match_fresh_roots(self, lists):
         roots = {}
         for terms in lists:
-            assert square_of_radical_sum(terms, roots=roots) == square_of_radical_sum(terms)
+            assert square_of_radical_sum(terms, roots) == square_of_radical_sum(terms, {})
 
     @pytest.mark.parametrize(
         "terms,expected",
         [
-            ([(0, 5), (3, 0), (2, 9)], (36, True)),
-            ([(5, 0), (1, 2), (1, 8)], (18, True)),
-            ([(0, 2), (1, 3)], (3, True)),
+            ([(0, 5), (3, 0), (2, 9)], (36 * UNIT, True)),
+            ([(5, 0), (1, 2), (1, 8)], (18 * UNIT, True)),
+            ([(0, 2), (1, 3)], (3 * UNIT, True)),
             ([(0, 0), (0, 7), (4, 0)], (0, True)),
         ],
     )
     def test_zero_terms_skipped_after_validation(self, terms, expected):
-        assert square_of_radical_sum(terms) == expected
+        assert square_of_radical_sum(terms, {}) == expected
+
+    @given(st.lists(st.tuples(st.integers(0, 2**64), _radicands), max_size=8))
+    @example([(3, 8), (5, 18), (0, 7), (2, 0)])
+    @example([(1, 2), (1, 3), (4, 12)])
+    def test_is_the_fraction_form_in_units_of_2_to_the_minus_256(self, terms):
+        total, exact = square_of_radical_sum(terms, {})
+        assert isinstance(total, int)
+        assert (Fraction(total, UNIT), exact) == fraction_square_of_radical_sum(terms)
+        if exact:
+            assert total % UNIT == 0
 
     @given(
         st.lists(
@@ -152,9 +168,31 @@ class TestRadicals:
         )
     )
     def test_matches_float_evaluation(self, terms):
-        total, _ = square_of_radical_sum(terms)
+        total, _ = square_of_radical_sum(terms, {})
         direct = sum(c * math.sqrt(r) for c, r in terms) ** 2
-        assert abs(float(total) - direct) <= 1e-9 * max(1.0, direct)
+        assert abs(total / UNIT - direct) <= 1e-9 * max(1.0, direct)
+
+
+class TestSumOfRadicalSquares:
+    _blocks = st.lists(st.lists(st.tuples(st.integers(0, 2**32), _radicands), max_size=6),
+                       max_size=8)
+
+    @given(_blocks)
+    @example([])
+    @example([[]])
+    @example([[(2, 9), (1, 4)], [(0, 3), (5, 0)], [(1, 2), (3, 8)]])
+    @example([[(2, 9), (1, 4)], [(1, 1), (1, 3)], [(0, 7)]])
+    def test_equals_a_running_fraction_sum_of_the_blocks(self, blocks):
+        total, exact = Fraction(0), True
+        for terms in blocks:
+            block, ok = fraction_square_of_radical_sum(terms)
+            total += block
+            exact = exact and ok
+        assert sum_of_radical_squares(iter(blocks)) == (total, exact)
+
+    def test_rejects_negative_in_any_block(self):
+        with pytest.raises(ValueError):
+            sum_of_radical_squares([[(1, 2)], [(3, -1)]])
 
 
 class TestFractionAlgebra:

@@ -99,6 +99,31 @@ def test_traced_benchmark_targets_resolve():
     assert tracer.spans == []
 
 
+# blocks: the spins 2s = 0, 2, ..., 36 of 36 qubits; the 12 partitions of 9
+# into at most 3 parts
+@pytest.mark.parametrize(
+    ("name", "args", "blocks"),
+    [("fidelity_qubit", (40, 4, "exact"), 19), ("fidelity_exact", (12, 3, 3), 12)],
+)
+def test_tracer_records_one_radical_sum_span_per_block(name, args, blocks):
+    # the benchmark counts radical-sum calls and reads each one's live terms
+    # from its first argument and its exact flag from index 1 of its result
+    from portcap import performance
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        getattr(performance, name)(*args)
+    finally:
+        tracer.uninstall()
+    top = [i for i, span in enumerate(tracer.spans) if span[0] == f"performance.{name}"]
+    radical = [span for span in tracer.spans if span[0] == "exactmath.square_of_radical_sum"]
+    assert len(top) == 1 and len(radical) == blocks
+    for _, _, _, parent, note in radical:
+        assert parent == top[0]
+        assert type(note) is tuple and [type(v) for v in note] == [int, bool]
+
+
 def test_every_public_name_is_used_inside_the_package():
     # a public name that only the tests use is a test-only helper; the one
     # exception is a function that the benchmark's tracer looks up by name

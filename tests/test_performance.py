@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import syt_count_hook
-from portcap.exactmath import ln_int, logsumexp, square_of_radical_sum
+from conftest import fraction_square_of_radical_sum, syt_count_hook
+from portcap.exactmath import ln_int, logsumexp
 from portcap.performance import (
     _CELL_BUDGET,
     _EXP_ZERO,
@@ -61,14 +61,14 @@ def reference_psucc_exact(N, k, d):
 
 def reference_fidelity_exact(N, k, d):
     """fidelity_exact with add_boxes run on every alpha rather than once per
-    gap class, and the radicand m_mu d_mu taken from the Weyl dimension and
-    the hook-length formula."""
+    gap class, the radicand m_mu d_mu taken from the Weyl dimension and the
+    hook-length formula, and the blocks added as a running Fraction."""
     total = Fraction(0)
     all_exact = True
     for alpha in enumerate_diagrams(N - k, d):
         terms = [(paths, ssyt_count(mu, d) * syt_count_hook(mu))
                  for mu, paths in add_boxes(alpha, k, d)]
-        block, ok = square_of_radical_sum(terms)
+        block, ok = fraction_square_of_radical_sum(terms)
         total += block
         all_exact = all_exact and ok
     return _exact_result(total / Fraction(d) ** (N + 2 * k), "schur-weyl-sum", all_exact)
