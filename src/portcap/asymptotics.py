@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ProtocolParams
 from .exactmath import exp_normal
@@ -57,8 +57,7 @@ def gaussian_limit(a: float) -> float:
     return 2.0 * _shifted_second_moment(a)
 
 
-@dataclass(frozen=True)
-class GaussBoundTerms:
+class GaussBoundTerms(NamedTuple):
     """Correction terms of the finite-N sandwich (all nonnegative)."""
 
     integral: float  # shifted Gaussian second moment, in [0, 1/2]

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import bounds, performance, protocols, simulate
 from .asymptotics import gaussian_limit, psucc_sandwich, sandwich_k
@@ -31,8 +29,7 @@ from .exactmath import UnderflowError
 from .protocols import Figure, ScalingSpec, SchemeId, finite_value
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     scheme: str
     N: int
     k: int
@@ -43,10 +40,17 @@ class OutputRecord:
     method: str
 
 
-@dataclass(frozen=True)
-class LimitRecord(OutputRecord):
+class LimitRecord(NamedTuple):
     """An ``asympt`` row: the record plus the classified limit of its scaling."""
 
+    scheme: str
+    N: int
+    k: int
+    d: int
+    quantity: str
+    value: str
+    exact: str | None
+    method: str
     limit_class: str
     limit_value: str
 
@@ -77,11 +81,13 @@ def _fmt_exact(x: Fraction) -> str:
 
 
 def _emit_records(
-    fmt: str, records: Iterable[OutputRecord], header: str, lines: Iterable[str]
+    fmt: str, records: Iterable[OutputRecord | LimitRecord], header: str, lines: Iterable[str]
 ) -> None:
     """Print ``records`` as JSON lines, or ``lines`` as CSV under ``header``."""
     if fmt == "json":
-        lines = (json.dumps(asdict(rec)) for rec in records)
+        import json  # only --format json needs it
+
+        lines = (json.dumps(rec._asdict()) for rec in records)
     else:
         print(header)
     for line in lines:
@@ -127,8 +133,8 @@ def _emit_value(
         value, exact = value.value, value.exact
     rec = OutputRecord(scheme, args.N, args.k, args.d, quantity, _fmt(float(value)),
                        None if exact is None else _fmt_exact(exact), method)
-    line = ",".join("" if v is None else str(v) for v in astuple(rec))
-    _emit_records(args.format, [rec], ",".join(f.name for f in fields(rec)), [line])
+    line = ",".join("" if v is None else str(v) for v in rec)
+    _emit_records(args.format, [rec], ",".join(rec._fields), [line])
     return 0
 
 
@@ -523,7 +529,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -1,31 +1,39 @@
-"""Shared protocol parameter and result types."""
+"""Shared protocol parameter and result types.
+
+Both are NamedTuples, like every record type in the package: immutable,
+iterable, and equal to the plain tuple of their fields.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class _ProtocolFields(NamedTuple):
+    N: int
+    k: int
+    d: int = 2
+
+
+class ProtocolParams(_ProtocolFields):
     """Multi-port teleportation instance: N ports of local dimension d, k teleported systems.
 
     The exact performance formulas are defined for 1 <= k <= N; the
     discrimination-based bounds additionally require k <= floor(N/2).
     """
 
-    N: int
-    k: int
-    d: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 1 <= self.k <= self.N:
-            raise ValueError(f"k must satisfy 1 <= k <= N={self.N}, got {self.k}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+    def __new__(cls, N: int, k: int, d: int = 2) -> ProtocolParams:
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        if not 1 <= k <= N:
+            raise ValueError(f"k must satisfy 1 <= k <= N={N}, got {k}")
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
+        return super().__new__(cls, N, k, d)
 
     @property
     def n(self) -> int:
@@ -49,8 +57,7 @@ class ProtocolParams:
             )
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """A computed figure of merit with arithmetic-path metadata; every
     function in ``performance`` returns one.
 

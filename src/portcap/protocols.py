@@ -18,10 +18,9 @@ and ``finite_value`` evaluates the finite-N curve that approaches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .asymptotics import gaussian_limit, psucc_largeN
 from .bounds import fidelity_bound_product
@@ -42,18 +41,22 @@ class Figure(str, Enum):
     PSUCC = "psucc"
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Teleported-system count growing as k = floor(a * N**alpha)."""
-
+class _ScalingFields(NamedTuple):
     a: float
     alpha: float
 
-    def __post_init__(self) -> None:
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {self.a}")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+
+class ScalingSpec(_ScalingFields):
+    """Teleported-system count growing as k = floor(a * N**alpha)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, alpha: float) -> ScalingSpec:
+        if not 0 < a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {a}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        return super().__new__(cls, a, alpha)
 
     def k_of(self, N: int) -> int:
         if N < 1:
@@ -64,8 +67,7 @@ class ScalingSpec:
             raise ValueError(f"k = floor(a*N^alpha) overflows a float at N={N}") from None
 
 
-@dataclass(frozen=True)
-class LimitClass:
+class LimitClass(NamedTuple):
     """Classified N -> infinity limit: the degenerate values 0 / 1, or the
     finite critical constant at the threshold exponent."""
 
@@ -162,8 +164,7 @@ def _ompbt_limit(a: float, d: int) -> float:
     return (1.0 - a) ** (d * d - 1)
 
 
-@dataclass(frozen=True)
-class _Curve:
+class _Curve(NamedTuple):
     """One (scheme, figure) row of the comparison."""
 
     alpha_cr: float

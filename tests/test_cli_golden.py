@@ -130,6 +130,12 @@ GOLDEN = [
     ("psucc --scheme pbt-approx --N 10 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 3,4 --N-range 12:24:6 --d 3 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 50 --N-range 4:8:4 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # integers past a C index or a float: an OverflowError, reported as malformed input
+    ("fidelity --method qubit --N 99999999999999999999 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method qubit --N 99999999999999999999 --k 1 --arith log", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method exact --N 99999999999999999999 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psucc --scheme mpbt --N 5 --k 1 --d 99999999999999999999", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("compare --k-list 4 --N-range 99999999999999999999:99999999999999999999", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,6 +11,8 @@ import pytest
 
 import portcap
 import portcap.cli
+from portcap import EvalResult, GaussBoundTerms, LimitClass, ProtocolParams, ScalingSpec
+from portcap.cli import LimitRecord, OutputRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "portcap"
@@ -150,11 +153,13 @@ def run_python(code: str) -> str:
 def test_cli_import_leaves_numpy_and_optional_packages_unloaded():
     # import time is part of every CLI call: numpy loads only in the functions
     # that build arrays, and scipy, mpmath and hypothesis may be installed but
-    # must stay unloaded
+    # must stay unloaded; the record types are NamedTuples, so dataclasses
+    # and the inspect it pulls in stay unloaded, and json loads only for
+    # --format json
     code = (
         "import sys, portcap.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'numpy', 'scipy', 'mpmath', 'hypothesis'}))"
+        "& {'numpy', 'scipy', 'mpmath', 'hypothesis', 'dataclasses', 'inspect', 'json'}))"
     )
     assert run_python(code).strip() == "[]"
 
@@ -187,3 +192,62 @@ def test_numpy_loads_only_where_an_array_is_built(command, loads_numpy):
         "print(code, 'numpy' in sys.modules)"
     )
     assert run_python(code).splitlines()[-1] == f"0 {loads_numpy}"
+
+
+# ------------------------------------------------------------ record types --
+
+RECORDS = [
+    (ProtocolParams(4, 2, 3), "k"),
+    (EvalResult(0.5, None, "angular-momentum", "exact", 0.0), "value"),
+    (GaussBoundTerms(0.25, 0.0, 0.0, 0.0, 0.0), "delta"),
+    (ScalingSpec(1.0, 0.5), "alpha"),
+    (LimitClass.critical(0.5), "kind"),
+    (OutputRecord("mpbt", 10, 2, 2, "psucc", "0.5", "1/2", "exact"), "value"),
+    (LimitRecord("mpbt", 10, 2, 2, "psucc", "0.5", None, "scaling", "critical", "0.5"),
+     "limit_value"),
+]
+RECORD_IDS = [type(rec).__name__ for rec, _ in RECORDS]
+
+
+@pytest.mark.parametrize(("rec", "field"), RECORDS, ids=RECORD_IDS)
+def test_records_are_immutable(rec, field):
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+@pytest.mark.parametrize(("rec", "field"), RECORDS, ids=RECORD_IDS)
+def test_records_equal_the_tuple_of_their_fields(rec, field):
+    assert rec == tuple(getattr(rec, name) for name in rec._fields)
+    assert field in rec._fields
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"N": 0, "k": 1, "d": 2}, "N must be >= 1, got 0"),
+        ({"N": 3, "k": 0, "d": 2}, "k must satisfy 1 <= k <= N=3, got 0"),
+        ({"N": 3, "k": 4, "d": 2}, "k must satisfy 1 <= k <= N=3, got 4"),
+        ({"N": 3, "k": 1, "d": 1}, "d must be >= 2, got 1"),
+    ],
+)
+def test_protocol_params_validate_by_keyword_and_by_position(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProtocolParams(**fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProtocolParams(*fields.values())
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"a": 0.0, "alpha": 0.5}, "a must be positive and finite, got 0.0"),
+        ({"a": 1.0, "alpha": float("inf")}, "alpha must be positive and finite, got inf"),
+    ],
+)
+def test_scaling_spec_validates_by_keyword_and_by_position(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScalingSpec(**fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScalingSpec(*fields.values())
