@@ -32,6 +32,8 @@ _LN2 = math.log(2.0)
 # to 0.0 below -745.14.
 _LN_CHOOSE_CHUNK = 1 << 15
 _EXP_ZERO_GAP = 800.0
+# Largest N psucc_largeN takes: its time grows as N, 4.5 s at 1e9 on a 2-vCPU Xeon.
+PSUCC_LARGEN_MAX_N = 10**9
 
 
 def normal_pdf(x: float) -> float:
@@ -145,11 +147,13 @@ def psucc_largeN(N: int, k: int) -> float:
     in its last bits; top + log(sum), about N ln 2, has absorbed that on
     every pinned and tested case, though not by construction.  At N = 1e7,
     k = 3162 it keeps about 8e4 of 5e6 terms and takes about 0.05 s on a
-    2-vCPU Xeon, and N = 1e8 runs in about 0.5 s.
+    2-vCPU Xeon, and N = 1e8 runs in about 0.5 s; N > PSUCC_LARGEN_MAX_N raises.
     """
     import numpy as np
 
     ProtocolParams(N, k)
+    if N > PSUCC_LARGEN_MAX_N:
+        raise ValueError(f"N = {N} exceeds the log-space psucc limit N <= {PSUCC_LARGEN_MAX_N}")
     m_max = (N - k) // 2
     drop_below = 2.0 * math.log(N - k + 1.0) + _EXP_ZERO_GAP
     # the live chunks of ln C(N+1, m) in order of m, m = 0 on its own first

@@ -27,7 +27,6 @@ test suite through exact agreement with the general-d sums.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +34,7 @@ from fractions import Fraction
 from .asymptotics import psucc_largeN
 from .core import EvalResult, ProtocolParams
 from .exactmath import exp_normal, ln_int, logsumexp, sum_of_radical_squares
-from .tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
+from .tableaux import add_boxes, enumerate_diagrams, isotypic_dimensions
 
 # Default switch from exact rationals to the log-space float path.
 EXACT_ARITH_MAX_N = 200
@@ -78,19 +77,11 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
     that error of it.  ``sum_of_radical_squares`` adds the blocks exactly,
     as integers over one power of two.
 
-    The growth table of ``alpha`` depends only on its row gaps, each capped
-    at k: before the t-th of k added boxes a row has gained at most t - 1 < k
-    of them, so a gap of k or more never blocks a box.  ``add_boxes`` runs
-    once per class of capped gaps, on the smallest diagram in the class, and
-    every alpha in the class gains the same boxes row by row.
+    ``add_boxes`` runs once per class of alpha with the same row gaps capped
+    at k (see ``tableaux``), and one ``isotypic_dimensions`` walk over the mu
+    of N boxes gives every radicand m_mu d_mu.
     """
     ProtocolParams(N, k, d)
-    # Over d rows padded with zeros, l_i = mu_i + d - i and
-    # V = prod_{i<j} (l_i - l_j) give both the Weyl form
-    # m_mu = V / prod_{i<j} (j - i) and Frobenius' d_mu = N! V / prod_i l_i!,
-    # so the radicand m_mu d_mu costs one pass over the rows.
-    weyl_den = math.prod(math.factorial(i) for i in range(d))
-    n_fact = math.factorial(N)
     # A padded diagram is coded as the base-(N+1) integer of its d rows: no
     # row exceeds N, so adding the codes of two diagrams adds them row by row.
     base = N + 1
@@ -101,22 +92,9 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
             c = c * base + row
         return c * base ** (d - len(rows))
 
-    @functools.cache  # for this call only, so a process making many calls does not grow
-    def radicand(c):
-        # the digits come out from the last row up, where l = row + digit index
-        ell = []
-        for j in range(d):
-            c, row = divmod(c, base)
-            ell.append(row + j)
-        vandermonde, den = 1, weyl_den
-        for i, li in enumerate(ell):
-            den *= math.factorial(li)
-            for lj in ell[i + 1 :]:
-                vandermonde *= li - lj
-        return n_fact * vandermonde * vandermonde // den
-
-    # for each class of capped gaps, the (code of the boxes gained, path
-    # count) of every growth; for this call only, like the radicand cache
+    # radicands by code, and per class of capped gaps the (code of the boxes
+    # gained, path count) of each growth; both for this call only
+    radicand = {code(mu): dim for mu, dim in isotypic_dimensions(N, d)}
     growth: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     def terms(alpha):
@@ -129,7 +107,7 @@ def fidelity_exact(N: int, k: int, d: int = 2) -> EvalResult:
             table = growth[gaps] = [(code(mu) - start, paths)
                                     for mu, paths in add_boxes(smallest, k, d)]
         origin = code(rows)
-        return [(paths, radicand(origin + gained)) for gained, paths in table]
+        return [(paths, radicand[origin + gained]) for gained, paths in table]
 
     total, all_exact = sum_of_radical_squares(map(terms, enumerate_diagrams(N - k, d)))
     return _exact_result(total / Fraction(d) ** (N + 2 * k), "schur-weyl-sum", all_exact)
@@ -147,16 +125,17 @@ def psucc_exact(N: int, k: int, d: int = 2) -> EvalResult:
     every factor is positive since mu has at most d rows.  The t-th largest
     content among k boxes added to alpha is at most alpha_1 + k - t, and
     adding all k to the first row attains that bound for every t, so that mu
-    is the minimum.
+    is the minimum.  The m_alpha d_alpha come from one ``isotypic_dimensions``
+    walk, summed per first row.
     """
     ProtocolParams(N, k, d)
     # Blocks sharing alpha_1 share the rising product, and each rising
     # product divides D = prod_{t<N} (d + t) since alpha_1 <= N - k: sum the
     # integer numerators over D.
     weight: dict[int, int] = {}
-    for alpha in enumerate_diagrams(N - k, d):
+    for alpha, dim in isotypic_dimensions(N - k, d):
         a = alpha[0] if alpha else 0
-        weight[a] = weight.get(a, 0) + ssyt_count(alpha, d) * syt_count(alpha)
+        weight[a] = weight.get(a, 0) + dim
     full = math.prod(range(d, d + N))
     num = sum(w * (full // math.prod(range(d + a, d + a + k))) for a, w in weight.items())
     return _exact_result(Fraction(num * math.perm(N, k), d**N * full), "schur-weyl-sum")

@@ -1,4 +1,4 @@
-"""Young-diagram enumeration and the three counts the qudit formulas consume.
+"""Young-diagram enumeration and the counts the qudit formulas consume.
 
 A diagram is a tuple of weakly decreasing positive row lengths; the empty
 tuple is the empty diagram.  For a diagram ``mu`` with at most ``d`` rows,
@@ -7,6 +7,8 @@ tuple is the empty diagram.  For a diagram ``mu`` with at most ``d`` rows,
   determinant form), the dimension of the corresponding symmetric-group irrep;
 * ``ssyt_count(mu, d)`` is the number of semistandard fillings with entries in
   {1..d} (Weyl dimension formula), the Schur-Weyl multiplicity;
+* ``isotypic_dimensions(n, d)`` walks the diagrams of n boxes in at most d
+  rows with m_mu d_mu, the product of the two counts above;
 * ``add_boxes(alpha, k, d)`` enumerates the diagrams reachable from ``alpha``
   by adding k boxes one at a time through valid diagrams, with the number of
   such growth paths for each target.
@@ -114,6 +116,51 @@ def ssyt_count(mu: Diagram, d: int) -> int:
     count, rem = divmod(num, den)
     assert rem == 0
     return count
+
+
+def isotypic_dimensions(n: int, d: int) -> Iterator[tuple[Diagram, int]]:
+    """Each mu of ``enumerate_diagrams(n, d)`` with its m_mu d_mu, equal to
+    ``ssyt_count(mu, d) * syt_count(mu)``; the values sum to d**n.  With
+    l_i = mu_i + d - i over d padded rows and V = prod_{i<j} (l_i - l_j),
+    m_mu d_mu = n! V**2 / (prod_{i<d} i! prod_i l_i!), so only (n) is counted
+    outright: each later value is the last times (V'/V)**2 prod l_i!/l'_i! over
+    the rows that changed, mostly one box moved from row d-1 to row d."""
+    value = ssyt_count((n,), d) * syt_count((n,))  # raises on n < 0 or d < 1
+    rows = [n] + [0] * (d - 1)
+    ell = [row + d - i for i, row in enumerate(rows, 1)]
+    while True:
+        yield tuple(row for row in rows if row), value
+        # rows d-1 and d trade boxes: only V's factors with those rows change
+        if d > 1 and ell[-2] - ell[-1] > 2:
+            (p, q), head, others = ell[-2:], tuple(rows[:-2]), ell[:-2]
+            v_old = (p - q) * math.prod((e - p) * (e - q) for e in others)
+            while p - q > 2:
+                v_new = p - q - 2
+                for e in others:
+                    v_new *= (e - p + 1) * (e - q - 1)
+                value = value * (v_new * v_new * p) // (v_old * v_old * (q + 1))
+                v_old, p, q = v_new, p - 1, q + 1
+                yield head + (p - 1, q), value
+            rows[-2:], ell = [p - 1, q], others + [p, q]
+        # next in lex order: the last row that can pass a box down, then refill
+        tail = rows[-1]
+        for i in range(d - 3, -1, -1):
+            tail += rows[i + 1]
+            if tail < (rows[i] - 1) * (d - 1 - i):
+                break
+        else:
+            return
+        rows[i] -= 1
+        for j in range(i + 1, d):
+            rows[j] = min(rows[i], tail + 1)
+            tail -= rows[j]
+        new = [row + d - j for j, row in enumerate(rows, 1)]
+        num = math.prod(new[h] - new[j] for j in range(i, d) for h in range(j)) ** 2
+        den = math.prod(ell[h] - ell[j] for j in range(i, d) for h in range(j)) ** 2
+        for old, now in zip(ell[i:], new[i:]):  # one of the two ranges is empty
+            num *= math.prod(range(now + 1, old + 1))
+            den *= math.prod(range(old + 1, now + 1))
+        value, ell = value * num // den, new
 
 
 def add_boxes(alpha: Diagram, k: int, max_rows: int) -> list[tuple[Diagram, int]]:

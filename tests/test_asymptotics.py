@@ -8,6 +8,7 @@ from scipy import integrate
 from portcap.asymptotics import (
     _EXP_ZERO_GAP,
     _LN_CHOOSE_CHUNK,
+    PSUCC_LARGEN_MAX_N,
     gaussian_limit,
     normal_pdf,
     normal_tail,
@@ -190,6 +191,10 @@ class TestPsuccLargeN:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             psucc_largeN(10, 11)
+
+    def test_rejects_n_past_its_limit(self):
+        with pytest.raises(ValueError, match=f"N <= {PSUCC_LARGEN_MAX_N}"):
+            psucc_largeN(PSUCC_LARGEN_MAX_N + 1, 1)
 
     def test_bit_identical_to_the_whole_array_expression(self):
         # N - k of both parities and k = N; where p underflows a float (k

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from portcap import cli, simulate
+from portcap.asymptotics import PSUCC_LARGEN_MAX_N
 from portcap.cli import main
 from portcap.core import ProtocolParams
 
@@ -17,6 +18,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_env(**extra):
+    """The environment of a ``python -m portcap`` child that imports this checkout."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestFidelityCommand:
@@ -88,6 +97,19 @@ class TestPsuccCommand:
     def test_log_path_for_large_n(self, capsys):
         code, out, _ = run_cli(capsys, "psucc", "--N", "100000", "--k", "316")
         assert code == 0 and "angular-momentum/log" in out
+
+    # the streamed success-probability kernel would run for centuries at
+    # N near 1e20: every command that reaches it exits 2 before any work
+    @pytest.mark.parametrize("command", [
+        "psucc --scheme mpbt --N 99999999999999999999 --k 1",
+        "gauss --a 1.0 --N-range 99999999999999999999:99999999999999999999",
+        "asympt --scheme mpbt --figure psucc --a 1.0 --alpha 0.5 --N-list 99999999999999999999",
+    ])
+    def test_streamed_kernel_refuses_n_past_its_limit(self, command):
+        proc = subprocess.run([sys.executable, "-m", "portcap", *command.split()],
+                              capture_output=True, text=True, env=cli_env(), timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and f"N <= {PSUCC_LARGEN_MAX_N}" in proc.stderr
 
 
 class TestCompareCommand:
@@ -242,11 +264,9 @@ class TestVerifyCommand:
     def test_reader_closing_stdout_early_ends_without_a_traceback(self):
         # ``portcap verify | head -1``: unbuffered, each row is written as it
         # is printed, so the rows after the header meet a closed pipe
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen([sys.executable, "-m", "portcap", "verify", "--max-dim", "1024"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=cli_env(PYTHONUNBUFFERED="1"))
         assert proc.stdout.readline() == b"check,N,k,d,status,seconds\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()

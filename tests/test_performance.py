@@ -1,4 +1,5 @@
 import bisect
+import functools
 import gc
 import math
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_square_of_radical_sum, syt_count_hook
+from portcap import tableaux
 from portcap.exactmath import ln_int, logsumexp
 from portcap.performance import (
     _CELL_BUDGET,
@@ -22,7 +24,7 @@ from portcap.performance import (
     psucc_qubit,
     resolve_arith,
 )
-from portcap.tableaux import add_boxes, enumerate_diagrams, ssyt_count
+from portcap.tableaux import add_boxes, enumerate_diagrams, ssyt_count, syt_count
 
 
 def spin_path_count(two_s, two_j, k):
@@ -49,14 +51,29 @@ def spin_path_count(two_s, two_j, k):
 def reference_psucc_exact(N, k, d):
     """psucc_exact as the literal Schur-Weyl sum: for each alpha, the minimum
     of d_mu / m_mu over every diagram mu that add_boxes reaches, with d_mu by
-    the hook-length formula."""
+    the hook-length formula (each mu's ratio formed once per call)."""
+
+    @functools.cache
+    def ratio(mu):
+        return Fraction(syt_count_hook(mu), ssyt_count(mu, d))
+
     total = Fraction(0)
     for alpha in enumerate_diagrams(N - k, d):
         m_alpha = ssyt_count(alpha, d)
-        best = min(Fraction(syt_count_hook(mu), ssyt_count(mu, d))
-                   for mu, _ in add_boxes(alpha, k, d))
-        total += m_alpha * m_alpha * best
+        total += m_alpha * m_alpha * min(ratio(mu) for mu, _ in add_boxes(alpha, k, d))
     return _exact_result(total / Fraction(d) ** N, "schur-weyl-sum")
+
+
+def per_alpha_psucc_exact(N, k, d):
+    """psucc_exact's closed form with each m_alpha d_alpha counted afresh as
+    ssyt_count * syt_count, rather than stepped along isotypic_dimensions."""
+    weight = {}
+    for alpha in enumerate_diagrams(N - k, d):
+        a = alpha[0] if alpha else 0
+        weight[a] = weight.get(a, 0) + ssyt_count(alpha, d) * syt_count(alpha)
+    full = math.prod(range(d, d + N))
+    num = sum(w * (full // math.prod(range(d + a, d + a + k))) for a, w in weight.items())
+    return _exact_result(Fraction(num * math.perm(N, k), d**N * full), "schur-weyl-sum")
 
 
 def reference_fidelity_exact(N, k, d):
@@ -229,6 +246,48 @@ class TestAgainstReferenceSums:
     def test_psucc_single_qutrit_at_large_n(self, N):
         assert psucc_exact(N, 1, 3) == reference_psucc_exact(N, 1, 3)
 
+    # long first-row runs at d = 3, runs of several rows at d = 4..6
+    @pytest.mark.parametrize("N,k,d", [(300, 1, 3), (101, 4, 3), (30, 6, 4), (20, 3, 5),
+                                       (60, 2, 6)])
+    def test_psucc_walk_against_both_references(self, N, k, d):
+        result = psucc_exact(N, k, d)
+        assert result == reference_psucc_exact(N, k, d)
+        assert result == per_alpha_psucc_exact(N, k, d)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every portcap module that binds
+    it; the returned list's length is the count so far."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "portcap"]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestWalkCost:
+    """Deterministic counts of the work isotypic_dimensions saves: m d is
+    counted outright at most once per first row, not once per diagram."""
+
+    def test_psucc_counts_at_most_once_per_first_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, tableaux, "syt_count")
+        # 57222 diagrams of 197 boxes in at most 4 rows, with first rows 50..197
+        psucc_exact(200, 3, 4)
+        assert 1 <= len(calls) <= 198
+
+    def test_fidelity_counts_at_most_once_per_first_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, tableaux, "syt_count")
+        # 574 radicands, one per diagram of 80 boxes in at most 3 rows
+        fidelity_exact(80, 4, 3)
+        assert 1 <= len(calls) <= 81
+
 
 def mpmath_rounded(x):
     """The double nearest an mpf: its binary mantissa and exponent as an
@@ -308,7 +367,7 @@ def words_psucc(N, k, d):
 class TestPsuccExact:
     @pytest.mark.parametrize("N,k,d", [(1, 1, 2), (4, 2, 2), (9, 3, 2), (14, 2, 2), (6, 1, 3),
                                        (10, 2, 3), (12, 1, 3), (7, 2, 4), (9, 1, 5),
-                                       (24, 4, 4), (16, 2, 5)])
+                                       (24, 4, 4), (16, 2, 5), (30, 6, 4), (20, 3, 5)])
     def test_matches_the_words_certificate(self, N, k, d):
         assert psucc_exact(N, k, d).exact == words_psucc(N, k, d)
 

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_ssyt_brute, count_syt_brute, growth_paths_brute, syt_count_hook
 from portcap.tableaux import (
     add_boxes,
     as_diagram,
     enumerate_diagrams,
+    isotypic_dimensions,
     ssyt_count,
     syt_count,
 )
@@ -91,6 +92,45 @@ class TestCounts:
                 ssyt_count(mu, d) * syt_count(mu) for mu in enumerate_diagrams(n, d)
             )
             assert total == d**n
+
+
+def one_pass_dimension(mu, d):
+    """m_mu d_mu in one pass over d padded rows: with l_i = mu_i + d - i and
+    V = prod_{i<j} (l_i - l_j), the Weyl form m_mu = V / prod_{i<j} (j - i)
+    and Frobenius' d_mu = n! V / prod_i l_i! give n! V**2 / (prod_{i<d} i! *
+    prod_i l_i!): each value counted on its own, with no ratio steps."""
+    ell = [row + d - i for i, row in enumerate(mu + (0,) * (d - len(mu)), 1)]
+    vandermonde = math.prod(li - lj for i, li in enumerate(ell) for lj in ell[i + 1 :])
+    den = math.prod(math.factorial(i) for i in range(d)) * math.prod(map(math.factorial, ell))
+    return math.factorial(sum(mu)) * vandermonde * vandermonde // den
+
+
+class TestIsotypicDimensions:
+    """The ratio walk against the counts it steps between: the same diagrams
+    in the same order, each with m_mu d_mu."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 6))
+    @example(0, 1)
+    @example(0, 6)
+    @example(3, 6)
+    @example(40, 6)
+    def test_walk_yields_every_diagram_with_its_count(self, n, d):
+        walk = list(isotypic_dimensions(n, d))
+        assert [mu for mu, _ in walk] == enumerate_diagrams(n, d)
+        for mu, dim in walk:
+            assert dim == ssyt_count(mu, d) * syt_count(mu) == one_pass_dimension(mu, d), (mu, d)
+        assert sum(dim for _, dim in walk) == d**n
+
+    def test_small_walks(self):
+        assert list(isotypic_dimensions(0, 3)) == [((), 1)]
+        assert list(isotypic_dimensions(3, 1)) == [((3,), 1)]
+        assert list(isotypic_dimensions(3, 2)) == [((3,), 4), ((2, 1), 4)]
+
+    @pytest.mark.parametrize("n,d", [(-1, 3), (4, 0)])
+    def test_rejects_bad_args(self, n, d):
+        with pytest.raises(ValueError):
+            list(isotypic_dimensions(n, d))
 
 
 def contents(mu):
