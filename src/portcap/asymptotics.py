@@ -20,18 +20,13 @@ import math
 from collections import deque
 from typing import NamedTuple
 
-from .core import ProtocolParams
-from .exactmath import exp_normal
+from .core import CHUNK_CELLS, ProtocolParams
+from .exactmath import EXP_ZERO, exp_normal
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 
-# psucc_largeN sums ln C(N+1, m) in chunks of this many m (256 kB of floats),
-# and drops a chunk whose terms lie this far below the largest: exp underflows
-# to 0.0 below -745.14.
-_LN_CHOOSE_CHUNK = 1 << 15
-_EXP_ZERO_GAP = 800.0
 # Largest N psucc_largeN takes: its time grows as N, 4.5 s at 1e9 on a 2-vCPU Xeon.
 PSUCC_LARGEN_MAX_N = 10**9
 
@@ -138,16 +133,17 @@ def psucc_largeN(N: int, k: int) -> float:
     9.8e-9 at N = 1e6 (k near sqrt(N)).  ``performance.psucc_qubit`` gives
     the worst-case bound.
 
-    ln C(N+1, m) is summed in chunks of ``_LN_CHOOSE_CHUNK`` values of m, and
-    a chunk is dropped once it lies ``_EXP_ZERO_GAP`` below the running value:
-    ln C never decreases for m <= (N-k)/2, and 2 ln(2s+1) <= 2 ln(N-k+1), so
-    each of its terms has exp(term - top) = 0.0 exactly.  Only the kept tail
-    gets a log and an exp, and only its exps are summed.  ``np.sum`` pairs
-    them up otherwise than over all (N-k)/2 + 1 terms, so the sum may differ
-    in its last bits; top + log(sum), about N ln 2, has absorbed that on
-    every pinned and tested case, though not by construction.  At N = 1e7,
-    k = 3162 it keeps about 8e4 of 5e6 terms and takes about 0.05 s on a
-    2-vCPU Xeon, and N = 1e8 runs in about 0.5 s; N > PSUCC_LARGEN_MAX_N raises.
+    ln C(N+1, m) is summed in chunks of ``core.CHUNK_CELLS`` values of m, and
+    a chunk is dropped once its last value plus 2 ln(N-k+1) lies below the
+    running value plus ``exactmath.EXP_ZERO``: ln C never decreases for
+    m <= (N-k)/2, and 2 ln(2s+1) <= 2 ln(N-k+1), so each of its terms has
+    exp(term - top) = 0.0 exactly.  Only the kept tail gets a log and an
+    exp, and only its exps are summed.  ``np.sum`` pairs them up otherwise
+    than over all (N-k)/2 + 1 terms, so the sum may differ in its last bits;
+    top + log(sum), about N ln 2, has absorbed that on every pinned and
+    tested case, though not by construction.  At N = 1e7, k = 3162 it keeps
+    about 8e4 of 5e6 terms and takes about 0.05 s on a 2-vCPU Xeon, and
+    N = 1e8 runs in about 0.5 s; N > PSUCC_LARGEN_MAX_N raises.
     """
     import numpy as np
 
@@ -155,12 +151,12 @@ def psucc_largeN(N: int, k: int) -> float:
     if N > PSUCC_LARGEN_MAX_N:
         raise ValueError(f"N = {N} exceeds the log-space psucc limit N <= {PSUCC_LARGEN_MAX_N}")
     m_max = (N - k) // 2
-    drop_below = 2.0 * math.log(N - k + 1.0) + _EXP_ZERO_GAP
+    drop_below = 2.0 * math.log(N - k + 1.0) - EXP_ZERO
     # the live chunks of ln C(N+1, m) in order of m, m = 0 on its own first
     kept = deque([np.zeros(1)])
     running = 0.0
-    for lo in range(1, m_max + 1, _LN_CHOOSE_CHUNK):
-        idx = np.arange(lo, min(lo + _LN_CHOOSE_CHUNK, m_max + 1), dtype=np.float64)
+    for lo in range(1, m_max + 1, CHUNK_CELLS):
+        idx = np.arange(lo, min(lo + CHUNK_CELLS, m_max + 1), dtype=np.float64)
         chunk = np.subtract(N + 2, idx)  # C(N+1, m) / C(N+1, m-1), its log, the sum
         np.divide(chunk, idx, out=chunk)
         np.log(chunk, out=chunk)

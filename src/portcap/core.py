@@ -1,4 +1,5 @@
-"""Shared protocol parameter and result types.
+"""Shared protocol parameter and result types, and the chunk budget of the
+numpy kernels.
 
 Both are NamedTuples, like every record type in the package: immutable,
 iterable, and equal to the plain tuple of their fields.
@@ -9,6 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+# Cells per chunk of every chunked numpy kernel (256 kB of float64).
+CHUNK_CELLS = 1 << 15
 
 
 class _ProtocolFields(NamedTuple):

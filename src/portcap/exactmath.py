@@ -25,6 +25,10 @@ from typing import Iterable, Sequence
 _LN2 = math.log(2.0)
 _LN_MIN_NORMAL = math.log(sys.float_info.min)
 
+# math.exp(x) is exactly 0.0 for every x below ln(2**-1075) = -745.13...: the
+# log-space kernels leave out terms that lie this far below their top.
+EXP_ZERO = -746.0
+
 # Radicands are scaled by 2**256 before their integer square root is taken,
 # which leaves 128 guard bits below the root's binary point.
 _SQRT_SHIFT = 256

@@ -32,20 +32,14 @@ import math
 from fractions import Fraction
 
 from .asymptotics import psucc_largeN
-from .core import EvalResult, ProtocolParams
-from .exactmath import exp_normal, ln_int, logsumexp, sum_of_radical_squares
+from .core import CHUNK_CELLS, EvalResult, ProtocolParams
+from .exactmath import EXP_ZERO, exp_normal, ln_int, logsumexp, sum_of_radical_squares
 from .tableaux import add_boxes, enumerate_diagrams, isotypic_dimensions
 
 # Default switch from exact rationals to the log-space float path.
 EXACT_ARITH_MAX_N = 200
 
 _LN2 = math.log(2.0)
-
-# math.exp(x) is exactly 0.0 for every x below ln(2**-1075) = -745.13...
-_EXP_ZERO = -746.0
-
-# Grid cells per chunk of the qubit log path: bounds its working memory.
-_CELL_BUDGET = 1 << 17
 
 
 def resolve_arith(N: int, arith: str) -> str:
@@ -158,13 +152,13 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     The log path returns the same float, to the bit, as taking logsumexp
     over j of each term and logsumexp over s of twice that, one term at a
     time.  It builds the (N-k)/2 x (k+1) grid of terms in numpy, in chunks
-    of _CELL_BUDGET cells, so its memory stays near a few tables of N/2 + k
-    floats.  Terms whose exp is exactly 0.0 are left out: every term more
-    than 746 below its row's top, and every row whose sum lies that far
-    below the largest.  The rest still go through math.exp and math.fsum,
-    so the cost is 3 numpy passes over the grid plus one exp per kept term.
-    On a 2-vCPU Xeon (20000, 141) takes 0.05 s, against 1.0 s term by term,
-    and (1e6, 1000) about 4 s.
+    of ``core.CHUNK_CELLS`` cells, so its memory stays near a few tables of
+    N/2 + k floats.  Terms whose exp is exactly 0.0 are left out: every term
+    below its row's top plus ``exactmath.EXP_ZERO``, and every row whose sum
+    lies that far below the largest.  The rest still go through math.exp and
+    math.fsum, so the cost is 3 numpy passes over the grid plus one exp per
+    kept term.  On a 2-vCPU Xeon (20000, 141) takes 0.05 s, against 1.0 s
+    term by term, and (1e6, 1000) about 4 s.
     """
     ProtocolParams(N, k)
     # h(s, j) = C(k, lo) - C(k, hi): lo lies in 0..k,
@@ -253,13 +247,14 @@ class _FidelityGrid:
 
 def _ln_fidelity_sum(N: int, k: int) -> float:
     """ln sum_s (sum_j h(s,j) (2j+1) sqrt(C(N+1, N/2-j)))**2 over the rows
-    of _FidelityGrid, _CELL_BUDGET cells at a time.
+    of _FidelityGrid, CHUNK_CELLS cells at a time; each row's top and fsum
+    are its own, so the chunking moves no bit of the result.
 
-    math.exp is exactly 0.0 below _EXP_ZERO and fsum rounds the exact sum
+    math.exp is exactly 0.0 below EXP_ZERO and fsum rounds the exact sum
     of its inputs in any order, so terms whose exp is 0.0 can be left out.
     Pass 1 finds each row's top term.  A row's inner sum lies between
     exp(top) and (k+1) exp(top), so a row with 2 (top + ln(k+1)) below
-    2 max(top) + _EXP_ZERO adds exactly 0 to the outer sum; pass 2 sums
+    2 max(top) + EXP_ZERO adds exactly 0 to the outer sum; pass 2 sums
     the rest, each row's terms largest first, which keeps fsum's partial
     sums few where a row spans hundreds of binades.
     """
@@ -267,11 +262,11 @@ def _ln_fidelity_sum(N: int, k: int) -> float:
 
     grid = _FidelityGrid(N, k)
     rows = grid.rows
-    step = max(1, _CELL_BUDGET // (k + 1))
+    step = max(1, CHUNK_CELLS // (k + 1))
     tops = np.empty(rows)
     for r0 in range(0, rows, step):
         tops[r0 : r0 + step] = grid.cells(r0, min(r0 + step, rows)).max(axis=1)
-    live = 2.0 * (tops + math.log(k + 1)) >= 2.0 * float(tops.max()) + _EXP_ZERO
+    live = 2.0 * (tops + math.log(k + 1)) >= 2.0 * float(tops.max()) + EXP_ZERO
 
     outer = []
     for r0 in range(0, rows, step):
@@ -311,7 +306,7 @@ def psucc_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
 def _row_blocks(z: np.ndarray, tops: np.ndarray) -> list[float]:
     """2 (top + ln fsum(exp(z))) for each row of z, a row of terms minus
     their top; fsum takes only the entries whose exp is not exactly 0.0."""
-    keep = z >= _EXP_ZERO
+    keep = z >= EXP_ZERO
     terms = memoryview(z[keep])  # yields one float at a time
     blocks, start = [], 0
     for top, end in zip(tops.tolist(), keep.sum(axis=1).cumsum().tolist()):

@@ -9,19 +9,20 @@ identities, an independent route from the permutation-operator algebra used
 by ``bounds.pairwise_signal_trace``.
 
 Every outcome is handled through per-instance tables built in batched numpy
-passes, a chunk of outcomes at a time under a fixed cell budget: one table
-holds every outcome's nonzero coordinates, one every outcome's row groups.
-Each signal has rank d**(N-k): it is 1/d^N times a sum of all-ones blocks
-over d**(N-k) groups of d**k rows, checked exactly, in integers, against the
-coordinates of every outcome.
+passes, a chunk of outcomes at a time under the cell budget
+``core.CHUNK_CELLS``: one table holds every outcome's nonzero coordinates,
+one every outcome's row groups.  Each signal has rank d**(N-k): it is 1/d^N
+times a sum of all-ones blocks over d**(N-k) groups of d**k rows, checked
+exactly, in integers, against the coordinates of every outcome.
 
 The signal sum rho is kept as its U(1)^d weight blocks: each signal
 coordinate is checked, in integers, to join two indices of one weight and is
 added straight into its block, so no dim x dim matrix is formed.  Each block
 is diagonalized on its own; rho^(-1/2) and the kernel basis stay in the same
-blocks.  Every row of a group has the same weight, also checked in integers,
-so the per-outcome traces and the square-root-measurement factors are read,
-and the factors kept, one weight block at a time: no per-outcome
+blocks.  Every row of a group has the same weight, and every outcome's
+groups have the first outcome's weights, both also checked in integers, so
+the per-outcome traces and the square-root-measurement factors are read, and
+the factors kept, one weight block at a time: no per-outcome
 d**(N+k) x d**(N+k) matrix is formed, nor any dense d**(N+k) x d**(N-k) factor.
 
 System order inside a matrix: the N port systems first, then the k teleported
@@ -34,14 +35,10 @@ import itertools
 import math
 from typing import Iterator, NamedTuple
 
-from .core import ProtocolParams
+from .core import CHUNK_CELLS, ProtocolParams
 
 DIM_GUARD = 4096
 SUPPORT_RTOL = 1e-12
-
-# Index cells per batch of outcomes: bounds the coordinate tables' and the
-# trace gathers' working memory at any dimension.
-_CELL_BUDGET = 1 << 17
 
 
 class WeightBlocks(NamedTuple):
@@ -70,11 +67,11 @@ def _check_guard(p: ProtocolParams) -> int:
 def _outcome_chunks(p: ProtocolParams) -> list[np.ndarray]:
     """Every outcome's port tuple, as rows of int arrays in ``all_port_tuples``
     order, split so that each chunk's coordinate table holds at most
-    _CELL_BUDGET cells (at least one outcome per chunk)."""
+    CHUNK_CELLS cells (at least one outcome per chunk)."""
     import numpy as np
 
     tuples = np.array(all_port_tuples(p.N, p.k), dtype=np.int64)
-    step = max(1, _CELL_BUDGET // p.d**p.n)
+    step = max(1, CHUNK_CELLS // p.d**p.n)
     return [tuples[i : i + step] for i in range(0, len(tuples), step)]
 
 
@@ -156,8 +153,7 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
     group's row set.  All rows of a group must share one U(1)^d weight key
     (``keys``, from ``_weight_keys``): a group's paired port and slot digits
     cancel, leaving the weight of its unpaired port digits.  Each outcome's
-    groups are returned in increasing key, and every outcome must carry the
-    same sequence of keys; otherwise ValueError.
+    groups are returned in increasing key.
     """
     import numpy as np
 
@@ -182,10 +178,7 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
     if (group_keys != group_keys[:, :, :1]).any():
         raise ValueError("a signal group spans two U(1)^d weights")
     order = np.argsort(group_keys[:, :, 0], axis=1, kind="stable")
-    groups = np.take_along_axis(groups, order[:, :, None], axis=1)
-    if (keys[groups[:, :, 0]] != keys[groups[:1, :, 0]]).any():
-        raise ValueError("outcomes differ in the U(1)^d weights of their groups")
-    return groups
+    return np.take_along_axis(groups, order[:, :, None], axis=1)
 
 
 def _weight_keys(p: ProtocolParams) -> np.ndarray:
@@ -261,7 +254,8 @@ def _chunk_runs(
     run is (that weight's position in ``blocks``, from
     ``_inverse_sqrt_on_support``, every outcome's rows of those groups as
     positions inside its basis indices, shape (outcomes, groups, d**k)).
-    Every chunk must give the first chunk's weights; otherwise ValueError."""
+    Every outcome must give the first outcome's weights; otherwise
+    ValueError."""
     import numpy as np
 
     local = np.empty_like(keys)
@@ -272,14 +266,14 @@ def _chunk_runs(
     reference = None
     for ports in _outcome_chunks(p):
         groups = _signal_groups(ports, p, keys)
-        first = keys[groups[0, :, 0]]
+        weights = keys[groups[:, :, 0]]
         if reference is None:
-            reference = first
-        elif not np.array_equal(first, reference):
+            reference = weights[0]
+            cuts = [0, *(np.flatnonzero(np.diff(reference)) + 1), reference.size]
+        if (weights != reference).any():
             raise ValueError("outcomes differ in the U(1)^d weights of their groups")
-        cuts = [0, *(np.flatnonzero(np.diff(first)) + 1), first.size]
         yield len(ports), [
-            (by_key[first[lo]], local[groups[:, lo:hi]]) for lo, hi in zip(cuts[:-1], cuts[1:])
+            (by_key[reference[lo]], local[groups[:, lo:hi]]) for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
 
@@ -315,7 +309,7 @@ def rho_and_srm(
             # this chunk's outcomes only; S is symmetric, so a group's column
             # of S G_i is the sum of the group's rows of S
             own = factors[j][done : done + n]
-            step = max(1, _CELL_BUDGET // (idx[0].size * b.size))
+            step = max(1, CHUNK_CELLS // (idx[0].size * b.size))
             for lo in range(0, n, step):
                 own[lo : lo + step] = scale * block[idx[lo : lo + step]].sum(axis=2)
         done += n
@@ -334,7 +328,7 @@ def srm_signal_traces(p: ProtocolParams, rho: WeightBlocks | None = None) -> np.
     one weight, so G_i^T S G_i is block diagonal: for each weight it sums the
     n x n group pairs' d**k x d**k blocks of that weight's block of S,
     (n d**k)^2 reads for the n groups of that weight.  Outcomes are batched,
-    at most _CELL_BUDGET reads at a time.  ``rho`` may be passed in when the
+    at most CHUNK_CELLS reads at a time.  ``rho`` may be passed in when the
     caller already built the signal sum.
     """
     import numpy as np
@@ -351,7 +345,7 @@ def srm_signal_traces(p: ProtocolParams, rho: WeightBlocks | None = None) -> np.
             block = blocks[j][1]
             n_groups = idx.shape[1]
             idx = idx.reshape(n, -1)
-            step = max(1, _CELL_BUDGET // idx.shape[1] ** 2)
+            step = max(1, CHUNK_CELLS // idx.shape[1] ** 2)
             for lo in range(0, n, step):
                 part = idx[lo : lo + step]
                 pairs = block.take(part[:, :, None] * len(block) + part[:, None, :])

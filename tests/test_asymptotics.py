@@ -6,8 +6,6 @@ import pytest
 from scipy import integrate
 
 from portcap.asymptotics import (
-    _EXP_ZERO_GAP,
-    _LN_CHOOSE_CHUNK,
     PSUCC_LARGEN_MAX_N,
     gaussian_limit,
     normal_pdf,
@@ -16,7 +14,8 @@ from portcap.asymptotics import (
     psucc_sandwich,
     sandwich_k,
 )
-from portcap.exactmath import exp_normal
+from portcap.core import CHUNK_CELLS
+from portcap.exactmath import EXP_ZERO, exp_normal
 from portcap.performance import psucc_qubit
 
 
@@ -219,11 +218,10 @@ class TestPsuccLargeN:
 
     @pytest.mark.parametrize(
         "m_max",
-        [_LN_CHOOSE_CHUNK - 1, _LN_CHOOSE_CHUNK, _LN_CHOOSE_CHUNK + 1,
-         2 * _LN_CHOOSE_CHUNK, 2 * _LN_CHOOSE_CHUNK + 1],
+        [CHUNK_CELLS - 1, CHUNK_CELLS, CHUNK_CELLS + 1, 2 * CHUNK_CELLS, 2 * CHUNK_CELLS + 1],
     )
     def test_bit_identical_at_the_chunk_boundaries(self, m_max):
-        # m = 1..m_max runs in chunks of _LN_CHOOSE_CHUNK; N - k of both
+        # m = 1..m_max runs in chunks of CHUNK_CELLS; N - k of both
         # parities, k small and k near sqrt(N)
         for k in (3, 4, 400, 401):
             for N in (2 * m_max + k, 2 * m_max + k + 1):
@@ -235,18 +233,21 @@ class TestPsuccLargeN:
         return math.lgamma(N + 2) - math.lgamma(m + 1) - math.lgamma(N + 2 - m)
 
     def test_bit_identical_where_leading_chunks_are_dropped(self):
-        for N, k in ((10**6, 2), (10**6 + 1, 10), (999_999, 1000)):
+        for N, k in ((10**6, 2), (10**6 + 1, 10), (999_999, 1000), (76500, 276)):
             m_max = (N - k) // 2
             head = 2.0 * math.log(N - k + 1.0)
             # the first chunk of m lies far below the last ln C(N+1, m)
-            assert (self.ln_choose(N, _LN_CHOOSE_CHUNK) + head + _EXP_ZERO_GAP
-                    < self.ln_choose(N, m_max))
+            gap = self.ln_choose(N, m_max) - self.ln_choose(N, CHUNK_CELLS) - head
+            assert gap > -EXP_ZERO, (N, k)
             assert psucc_largeN(N, k) == reference_psucc_largeN(N, k), (N, k)
+        # at (76500, 276) the first chunk lies past the cut at 746 but within
+        # 800, a gap that would keep it: only the cut at 746 drops it here
+        assert 746 < gap <= 800
 
     def test_bit_identical_where_every_chunk_stays_live(self):
         for N, k in ((1000, 900), (1000, 601), (1201, 1000)):
-            # even m = 0 lies within the gap of the largest ln C(N+1, m)
-            assert self.ln_choose(N, (N - k) // 2) < _EXP_ZERO_GAP
+            # even m = 0 lies within the cut of the largest ln C(N+1, m)
+            assert self.ln_choose(N, (N - k) // 2) < -EXP_ZERO
             assert psucc_largeN(N, k) == reference_psucc_largeN(N, k), (N, k)
 
     def test_underflow_raises_as_the_reference_does(self):
@@ -283,14 +284,14 @@ class TestPsuccLargeN:
         # of size (N - k)/2 + 1, which at N = 1e7 would be 40 MB
         N, k = 10**7, 3162
         m_max = (N - k) // 2
-        drop_below = 2.0 * math.log(N - k + 1.0) + _EXP_ZERO_GAP
+        drop_below = 2.0 * math.log(N - k + 1.0) - EXP_ZERO
         top = self.ln_choose(N, m_max)
         lo, hi = 0, m_max  # the first m whose term can have a nonzero exp
         while lo < hi:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if self.ln_choose(N, mid) + drop_below >= top else (mid + 1, hi)
         live = m_max - lo + 1
-        bound = 8 * (2 * (live + _LN_CHOOSE_CHUNK) + 2 * _LN_CHOOSE_CHUNK)
+        bound = 8 * (2 * (live + CHUNK_CELLS) + 2 * CHUNK_CELLS)
         assert bound <= 4e6
         tracemalloc.start()
         try:

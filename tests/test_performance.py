@@ -12,10 +12,10 @@ import pytest
 
 from conftest import fraction_square_of_radical_sum, syt_count_hook
 from portcap import tableaux
-from portcap.exactmath import ln_int, logsumexp
+from portcap import performance
+from portcap.core import CHUNK_CELLS
+from portcap.exactmath import EXP_ZERO, ln_int, logsumexp
 from portcap.performance import (
-    _CELL_BUDGET,
-    _EXP_ZERO,
     _exact_result,
     _ln_binomial_table,
     fidelity_exact,
@@ -444,7 +444,7 @@ class TestQubitClosedForms:
     def test_exp_underflows_to_exact_zero_below_the_pruning_cut(self):
         # the log path leaves out terms whose exp is exactly 0.0; that is only
         # exact where the platform's libm underflows there
-        assert _EXP_ZERO == -746.0
+        assert EXP_ZERO == -746.0
         assert math.exp(-746.0) == 0.0
         assert math.exp(-745.0) > 0.0
 
@@ -454,6 +454,15 @@ class TestQubitClosedForms:
         # spin rows and 94996 terms of the rest lie below the cut.
         # (2003, 61), on the exact-integer branch: 151 of 972 rows do.
         assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+
+    def test_one_row_per_chunk_gives_the_same_bits(self, monkeypatch):
+        # each row's top and fsum are its own, so the chunk budget moves no
+        # bit; a budget of 1 gives one row per chunk
+        cases = [(1000, 250), (2003, 61), (3601, 1081)]
+        default = [fidelity_qubit(N, k, arith="log").value for N, k in cases]
+        monkeypatch.setattr(performance, "CHUNK_CELLS", 1)
+        for (N, k), value in zip(cases, default):
+            assert fidelity_qubit(N, k, arith="log").value == value, (N, k)
 
     def test_ln_binomial_table_sums_the_ratio_recurrence_in_order(self):
         for n, max_m in ((1, 0), (2, 1), (11, 5), (4001, 2000)):
@@ -466,7 +475,7 @@ class TestQubitClosedForms:
     def test_log_path_memory_is_bounded_by_the_chunk_budget(self):
         # the whole grid at (100000, 316) would take 8 * 50000 * 317 bytes,
         # about 127 MB; the kernel keeps a few tables of N/2 + k floats and a
-        # few arrays of _CELL_BUDGET cells
+        # few arrays of CHUNK_CELLS cells
         N, k = 100000, 316
         tracemalloc.start()
         try:
@@ -474,7 +483,7 @@ class TestQubitClosedForms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (6 * (N // 2 + k + 1) + 5 * _CELL_BUDGET)
+        assert peak <= 8 * (6 * (N // 2 + k + 1) + 5 * CHUNK_CELLS)
 
     def test_psucc_log_path_within_its_bound_on_overlap_window(self):
         for N in range(40, 201, 16):

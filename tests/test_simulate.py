@@ -401,12 +401,11 @@ class TestSignalFactorization:
             return rows, cols
 
         monkeypatch.setattr(simulate, "_signal_coords", patched)
-        with pytest.raises(ValueError, match="outcomes differ"):
-            group_table(p)
-        # one outcome per chunk: each chunk's weights are compared with the
-        # first chunk's, not only within the chunk
-        for budget in (simulate._CELL_BUDGET, 1):
-            monkeypatch.setattr(simulate, "_CELL_BUDGET", budget)
+        # every outcome in one chunk, and one outcome per chunk: each outcome's
+        # weights are compared with the first outcome's, within and across chunks
+        for budget, chunks in ((simulate.CHUNK_CELLS, 1), (1, p.num_signals)):
+            monkeypatch.setattr(simulate, "CHUNK_CELLS", budget)
+            assert len(simulate._outcome_chunks(p)) == chunks
             with pytest.raises(ValueError, match="outcomes differ"):
                 srm_signal_traces(p, rho=rho)
             with pytest.raises(ValueError, match="outcomes differ"):
@@ -416,7 +415,7 @@ class TestSignalFactorization:
         # one outcome per batch and per gather against one batch of all
         cases = [ProtocolParams(4, 2, 2), ProtocolParams(5, 1, 2), ProtocolParams(2, 2, 3)]
         default = [(signal_sum(p), srm_signal_traces(p), rho_and_srm(p)[1]) for p in cases]
-        monkeypatch.setattr(simulate, "_CELL_BUDGET", 1)
+        monkeypatch.setattr(simulate, "CHUNK_CELLS", 1)
         assert all(len(simulate._outcome_chunks(p)) == p.num_signals for p in cases)
         for p, (rho, traces, blocks) in zip(cases, default):
             assert np.array_equal(dense_rho(signal_sum(p)), dense_rho(rho)), p
