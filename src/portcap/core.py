@@ -70,8 +70,11 @@ class EvalResult(NamedTuple):
     probability always does.  ``method`` names the formula and ``arith`` the
     path, "exact" or "log".  ``rel_err_bound`` bounds |value - true| / true
     while the true value lies in the normal float range (the float view
-    underflows below about 2.2e-308, where the log paths raise).  The tests check the log paths' figures
-    against exact sums for N <= 200, and the success probability's also
+    underflows below about 2.2e-308, where the log paths raise).  On the log
+    paths it is an a-priori bound, quadratic in N, led by the rounding of a
+    cumulative sum of ln C(N+1, m) ratios.  The tests check the log paths'
+    figures against exact sums for N <= 200, the fidelity's also against a
+    reference ln C table up to N = 2e5, and the success probability's also
     against 40-digit sums up to N = 99999.
     """
 

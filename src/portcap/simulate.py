@@ -17,10 +17,14 @@ exactly, in integers, against the coordinates of every outcome.
 
 The signal sum rho is kept as its U(1)^d weight blocks: each signal
 coordinate is checked, in integers, to join two indices of one weight and is
-added straight into its block, so no dim x dim matrix is formed.  Each block
-is diagonalized on its own; rho^(-1/2) and the kernel basis stay in the same
-blocks.  Every row of a group has the same weight, and every outcome's
-groups have the first outcome's weights, both also checked in integers, so
+added straight into its block, so no dim x dim matrix is formed.  Relabelling
+the d colours fixes rho, so the blocks of weights that one relabelling carries
+onto each other (a colour orbit) are one matrix up to the order of their
+indices; listed in orbit order (``_weight_blocks``) they come out bitwise
+equal.  Each distinct block is diagonalized once, a block equal in its data to
+an earlier one taking that block's solve; rho^(-1/2) and the kernel basis stay
+in the same blocks.  Every row of a group has the same weight, and every
+outcome's groups have the first outcome's weights, both also checked in integers, so
 the per-outcome traces and the square-root-measurement factors are read, and
 the factors kept, one weight block at a time: no per-outcome
 d**(N+k) x d**(N+k) matrix is formed, nor any dense d**(N+k) x d**(N-k) factor.
@@ -43,7 +47,8 @@ SUPPORT_RTOL = 1e-12
 
 class WeightBlocks(NamedTuple):
     """A dim x dim matrix zero off its U(1)^d weight blocks: each weight's
-    basis indices b, in ``_weight_blocks`` order, and its b x b block."""
+    basis indices b, in ``_weight_blocks`` order (weights by increasing key,
+    indices in orbit order), and its b x b block."""
 
     shape: tuple[int, int]
     indices: list[np.ndarray]
@@ -117,17 +122,20 @@ def _signal_coords(
 
 def signal_sum(p: ProtocolParams) -> WeightBlocks:
     """Sum of all normalized signals (trace k! C(N,k)) as its U(1)^d weight
-    blocks, accumulated from the coordinate tables one chunk of outcomes at a
-    time.  A coordinate that joins indices of two weights (``_weight_keys``)
-    is a ValueError, checked in integers before anything is added."""
+    blocks, in ``_weight_blocks`` order, accumulated from the coordinate
+    tables one chunk of outcomes at a time.  A coordinate that joins indices
+    of two weights is a ValueError, checked in integers before anything is
+    added.  Every entry is a sum of equal addends 1/d^N, so it depends only
+    on their count: the blocks of one colour orbit come out bitwise equal."""
     import numpy as np
 
     dim = _check_guard(p)
-    keys = _weight_keys(p)
-    indices = _weight_blocks(keys)
+    indices = _weight_blocks(p)
     # entry (i, j) of a block sits at start[i] + local[j] of one flat buffer
     local, start, end = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64), 0
-    for b in indices:
+    block_of = np.empty(dim, dtype=np.int64)
+    for j, b in enumerate(indices):
+        block_of[b] = j
         local[b] = np.arange(b.size)
         start[b] = end + b.size * local[b]
         end += b.size**2
@@ -135,7 +143,7 @@ def signal_sum(p: ProtocolParams) -> WeightBlocks:
     val = 1.0 / p.d**p.N
     for ports in _outcome_chunks(p):
         rows, cols = _signal_coords(ports, p)
-        if (keys[rows] != keys[cols]).any():
+        if (block_of[rows] != block_of[cols]).any():
             raise ValueError("a signal connects basis indices of two U(1)^d weights")
         np.add.at(flat, (start[rows] + local[cols]).reshape(-1), val)
     blocks = [flat[start[b[0]] : start[b[0]] + b.size**2].reshape(b.size, b.size) for b in indices]
@@ -182,30 +190,56 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
 
 
 def _weight_keys(p: ProtocolParams) -> np.ndarray:
-    """U(1)^d weight of every basis index x*d**k + u, packed into one int64.
+    """U(1)^d weight of every basis index x*d**k + u, packed into one int64
+    (see ``_weight_table``)."""
+    return _weight_table(p)[0]
 
-    For each colour c < d-1 the weight counts c among the N port digits minus
-    c among the k slot digits; colour d-1 follows, since the counts sum to N
-    and k.  Each difference lies in [-k, N], so offset by k it is one digit in
-    base N+k+1 and the packing is injective.
+
+def _weight_table(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every basis index's packed weight key, shape (dim,), its U(1)^d
+    weight, shape (dim, d), and its base-d digits, shape (dim, n), most
+    significant first.
+
+    For each colour c the weight counts c among the N port digits minus c
+    among the k slot digits.  Each difference lies in [-k, N], so the key
+    packs the first d-1 of them, offset by k, as digits in base N+k+1, and the
+    packing is injective: colour d-1 follows, since the counts sum to N and k.
     """
     import numpy as np
 
     N, k, d = p.N, p.k, p.d
     places = d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(d**p.n, dtype=np.int64)[:, None] // places) % d
+    weights = np.empty((d**p.n, d), dtype=np.int64)
     keys = np.zeros(d**p.n, dtype=np.int64)
     for c in range(d - 1):
-        diff = (digits[:, :N] == c).sum(axis=1) - (digits[:, N:] == c).sum(axis=1)
-        keys = keys * (N + k + 1) + diff + k
-    return keys
+        hit = digits == c
+        weights[:, c] = hit[:, :N].sum(axis=1) - hit[:, N:].sum(axis=1)
+        keys = keys * (N + k + 1) + weights[:, c] + k
+    weights[:, -1] = N - k - weights[:, :-1].sum(axis=1)
+    return keys, weights, digits
 
 
-def _weight_blocks(keys: np.ndarray) -> list[np.ndarray]:
-    """Basis indices of each weight, in increasing key and increasing index."""
+def _weight_blocks(p: ProtocolParams) -> list[np.ndarray]:
+    """Basis indices of each weight, in increasing key (``_weight_keys``),
+    in orbit order inside each weight.
+
+    Relabelling the d colours by a permutation P fixes every signal, since
+    P^(x N) x P^(x k) fixes every phi+ pair, so it fixes rho:
+    rho[x, y] = rho[Px, Py], and it carries weight w to w permuted.  Inside
+    weight w, the indices are ordered by their image under the relabelling
+    that sorts w (stably, so tied colours keep their order).  Two weights of
+    one orbit sort to the same weight, whose own indices come in increasing
+    index, so their blocks of rho in this order are one matrix.
+    """
     import numpy as np
 
-    order = np.argsort(keys, kind="stable")
+    keys, weights, digits = _weight_table(p)
+    # colour perm[j] -> j for the stable sort perm of each index's weight
+    relabel = np.argsort(np.argsort(weights, axis=1, kind="stable"), axis=1)
+    places = p.d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
+    image = np.take_along_axis(relabel, digits, axis=1) @ places
+    order = np.lexsort((image, keys))
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
@@ -218,31 +252,50 @@ def _inverse_sqrt_on_support(
 
     rho commutes with U^(x N) x conj(U)^(x k), so for diagonal U it only
     connects basis indices of equal U(1)^d weight (``_weight_keys``), as
-    ``signal_sum`` checks in integers.  Only that phase symmetry is used, not
-    the Schur-Weyl algebra the oracle certifies.  Each block is diagonalized
-    on its own and the support is decided against the largest eigenvalue of
-    all blocks.  Returns, for each weight of rho in order, (the block's basis
-    indices b, rho^(-1/2) restricted to b x b, the block's kernel vectors as
-    columns over b); rho^(-1/2) is zero off these blocks.
+    ``signal_sum`` checks in integers.  Each block is diagonalized on its
+    own, not through the Schur-Weyl algebra the oracle certifies, and the
+    support is decided against the largest eigenvalue of all blocks.  A
+    block that is ``np.array_equal`` to an earlier one, as the blocks of one
+    colour orbit are in ``signal_sum``'s order, reuses that block's
+    eigenpairs: the reuse rests on the data, so a rho off the symmetry still
+    gets one solve per distinct block.  Returns, for each weight of rho in
+    order, (the block's basis indices b, rho^(-1/2) restricted to b x b, the
+    block's kernel vectors as columns over b); rho^(-1/2) is zero off these
+    blocks.  Equal blocks share one S array and one kernel array, both made
+    read-only, since a write through one block would reach the others.
 
     Each eigenpair is dropped once its S block and kernel are formed, so one
-    set of Sum |b|^2 floats is held beside rho and the largest block's
-    temporaries.
+    set of Sum |b|^2 floats over the distinct blocks is held beside rho and
+    the largest block's temporaries.
     """
     import numpy as np
 
     dim = p.d**p.n
     if rho.shape != (dim, dim):
         raise ValueError(f"rho must be {dim} x {dim}, got {rho.shape}")
-    eigs = [np.linalg.eigh(block) for block in rho.blocks]
+    # each block's position among the distinct ones, found by comparing the
+    # data with the earlier blocks of its shape
+    distinct, which, by_shape = [], [], {}
+    for block in rho.blocks:
+        seen = by_shape.setdefault(block.shape, [])
+        j = next((j for j in seen if np.array_equal(distinct[j], block)), None)
+        if j is None:
+            j = len(distinct)
+            seen.append(j)
+            distinct.append(block)
+        which.append(j)
+    eigs = [np.linalg.eigh(block) for block in distinct]
     cut = SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
-    out = []
-    for b in rho.indices:
+    solved = []
+    while eigs:
         vals, vecs = eigs.pop(0)
         keep = vals > cut
         vs = vecs[:, keep]
-        out.append((b, (vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep]))
-    return out
+        pair = ((vs / np.sqrt(vals[keep])) @ vs.T, vecs[:, ~keep])
+        for a in pair:
+            a.flags.writeable = False
+        solved.append(pair)
+    return [(b, *solved[j]) for b, j in zip(rho.indices, which)]
 
 
 def _chunk_runs(

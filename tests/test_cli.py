@@ -274,6 +274,31 @@ class TestVerifyCommand:
         assert proc.wait() != 0
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
+    def test_checks_keep_the_benchmark_counts(self, monkeypatch):
+        # perfbench's traced certify-dense run counts verify's rows, each
+        # rho^(-1/2) solve as rho's dim cubed, and the outcomes of every
+        # srm_signal_traces call, against perfbench/golden.json
+        golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                            .read_text())["counts"]["certify-dense"]
+        solves, outcomes = [], []
+        solve, traces = simulate._inverse_sqrt_on_support, simulate.srm_signal_traces
+
+        def counted_solve(rho, p):
+            solves.append(rho.shape[0])
+            return solve(rho, p)
+
+        def counted_traces(p, rho=None):
+            outcomes.append(p.num_signals)
+            return traces(p, rho=rho)
+
+        monkeypatch.setattr(simulate, "_inverse_sqrt_on_support", counted_solve)
+        monkeypatch.setattr(simulate, "srm_signal_traces", counted_traces)
+        results = [fn() for _, _, _, _, fn in cli._verify_checks(1024)]
+        assert len(results) == golden["cli.rows"] == 108 and all(results)
+        assert len(solves) == 43
+        assert sum(dim**3 for dim in solves) == golden["simulate.eigh.dim3"]
+        assert sum(outcomes) == golden["simulate.srm_signal_traces.outcomes"]
+
     def test_max_dim_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--max-dim", "8192")
         assert code == 2

@@ -139,6 +139,26 @@ def reference_fidelity_log(N, k):
     return math.exp(logsumexp(outer) - (N + 2 * k) * math.log(2.0) - math.log(N + 1))
 
 
+def reference_ln_binomial_table(n, max_m, every=2000):
+    """ln C(n, m) for m = 0..max_m: ``ln_int`` of the exact C(n, a) at every
+    2000th m, and in between the increments ln(C(n, m+1)/C(n, m)) =
+    log1p((n-2m-1)/(m+1)) summed from 0 before they are added to their
+    checkpoint, so no partial sum runs over more than 2000 increments.  Each
+    checkpoint's integer is the last one times its 2000 ratios, whose
+    numerators and denominators are multiplied out first."""
+    import numpy as np
+
+    table = np.empty(max_m + 1)
+    choose = 1
+    for a in range(0, max_m + 1, every):
+        b = min(a + every, max_m + 1)
+        m = np.arange(a, b - 1)
+        table[a] = ln_int(choose)
+        table[a + 1 : b] = table[a] + np.cumsum(np.log1p((n - 2 * m - 1) / (m + 1)))
+        choose = choose * math.prod(range(n - b + 1, n - a + 1)) // math.prod(range(a + 1, b + 1))
+    return table
+
+
 class TestSpinPathCount:
     def test_single_added_spin(self):
         # one added spin-1/2 on s=0 can only reach j=1/2, one way
@@ -428,6 +448,23 @@ class TestQubitClosedForms:
     def test_log_path_within_its_bound_beyond_the_window(self):
         exact = fidelity_qubit(1000, 10, arith="exact").value
         res = fidelity_qubit(1000, 10, arith="log")
+        assert abs(res.value - exact) <= res.rel_err_bound * exact
+
+    @pytest.mark.parametrize("N,k", [(20000, 141), (100000, 316), (200000, 447)])
+    def test_log_path_within_its_bound_at_large_n(self, N, k, monkeypatch):
+        # the cumulative sum in _ln_binomial_table carries its rounding over
+        # N/2 steps: at (200000, 447) F is off by about 1.7e-9, above a flat
+        # 1e-10; the reference reruns the same grid on a ln C table whose
+        # error stays near that of one ln_int
+        res = fidelity_qubit(N, k, arith="log")
+        monkeypatch.setattr(performance, "_ln_binomial_table", reference_ln_binomial_table)
+        ref = fidelity_qubit(N, k, arith="log").value
+        assert abs(res.value - ref) <= res.rel_err_bound * ref
+
+    def test_log_path_within_its_bound_on_the_lgamma_branch(self):
+        # beyond k = 1000 the path counts come from lgamma, not exact integers
+        exact = fidelity_qubit(2100, 1001, arith="exact").value
+        res = fidelity_qubit(2100, 1001, arith="log")
         assert abs(res.value - exact) <= res.rel_err_bound * exact
 
     @pytest.mark.parametrize("N,k", [(1000, 250), (20000, 141), (1100, 1001)])

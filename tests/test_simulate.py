@@ -53,6 +53,23 @@ def group_table(p):
     return simulate._signal_groups(all_tuples(p), p, simulate._weight_keys(p))
 
 
+def colour_orbit(x, p):
+    """The colour orbit of basis index x's U(1)^d weight, as the sorted
+    weight, counted from x's base-d digits."""
+    digits = [x // p.d ** (p.n - 1 - i) % p.d for i in range(p.n)]
+    ports, slots = digits[: p.N], digits[p.N :]
+    return tuple(sorted(ports.count(c) - slots.count(c) for c in range(p.d)))
+
+
+def distinct_blocks(blocks):
+    """The blocks that are not ``np.array_equal`` to an earlier one."""
+    distinct = []
+    for block in blocks:
+        if not any(np.array_equal(block, seen) for seen in distinct):
+            distinct.append(block)
+    return distinct
+
+
 def build_signal(ports, p):
     """Dense normalized signal operator for one measurement outcome: the
     reference that the factored routes are checked against."""
@@ -111,7 +128,7 @@ class TestSignalSum:
     def test_blocks_match_the_per_tuple_reference_bit_for_bit(self):
         for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
             rho = signal_sum(p)
-            blocks = simulate._weight_blocks(simulate._weight_keys(p))
+            blocks = simulate._weight_blocks(p)
             assert rho.shape == (p.d**p.n, p.d**p.n), p
             assert all(np.array_equal(a, b) for a, b in zip(rho.indices, blocks)), p
             assert len(rho.indices) == len(blocks) == len(rho.blocks), p
@@ -154,7 +171,7 @@ def reference_inverse_sqrt_on_support(rho, p):
     """(rho^(-1/2), kernel basis) as dense dim x dim and dim x n_ker arrays:
     each weight block diagonalized on its own and embedded in the full index
     space, the reference for the block form the oracle keeps."""
-    blocks = simulate._weight_blocks(simulate._weight_keys(p))
+    blocks = simulate._weight_blocks(p)
     eigs = [np.linalg.eigh(rho[np.ix_(b, b)]) for b in blocks]
     cut = simulate.SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
     inv_sqrt = np.zeros_like(rho)
@@ -455,12 +472,59 @@ class TestWeightBlocks:
             assert np.abs(kernel @ kernel.T - complement).max() < 1e-10, p
 
     def test_block_form_matches_the_dense_embedding_bit_for_bit(self):
-        for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
+        # (2, 2, 3) and (3, 2, 3) have colour orbits of 3 and 6 weights
+        for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4),
+                          ProtocolParams(2, 2, 3), ProtocolParams(3, 2, 3)]:
             assert np.array_equal(srm_signal_traces(p), reference_signal_traces(p)), p
             factors = embedded_factors(p)
             reference = reference_factors(p)
             assert len(factors) == len(reference), p
             assert all(np.array_equal(f, g) for f, g in zip(factors, reference)), p
+
+    def test_blocks_of_one_colour_orbit_are_bitwise_equal(self):
+        # relabelling the d colours fixes rho and permutes the weights; in
+        # signal_sum's order the blocks of one orbit are one array
+        for p in feasible_instances(max_dim=1024):
+            rho = signal_sum(p)
+            orbits = {}
+            for b, block in zip(rho.indices, rho.blocks):
+                orbits.setdefault(colour_orbit(int(b[0]), p), []).append(block)
+            assert all(colour_orbit(int(x), p) == colour_orbit(int(b[0]), p)
+                       for b in rho.indices for x in b), p
+            assert len(orbits) < len(rho.blocks), p
+            for blocks in orbits.values():
+                assert all(np.array_equal(blocks[0], block) for block in blocks[1:]), p
+
+    def test_eigh_runs_once_per_distinct_block(self, monkeypatch):
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        for p in feasible_instances(max_dim=1024):
+            rho = signal_sum(p)
+            shapes.clear()
+            blocks = simulate._inverse_sqrt_on_support(rho, p)
+            assert len(shapes) == len(distinct_blocks(rho.blocks)) < len(rho.blocks), p
+            assert all(b is c for (b, _, _), c in zip(blocks, rho.indices)), p
+            assert not any(a.flags.writeable for _, S, K in blocks for a in (S, K)), p
+
+    def test_changed_image_block_gets_its_own_solve(self, monkeypatch):
+        # the reuse rests on the data: a block changed off its orbit's matrix
+        # is solved on its own, as a direct eigh of it
+        p = ProtocolParams(3, 2, 3)
+        rho = signal_sum(p)
+        blocks = [block.copy() for block in rho.blocks]
+        j = max(i for i, block in enumerate(blocks)
+                if len(block) > 1 and any(np.array_equal(block, b) for b in blocks[:i]))
+        blocks[j][0, 1] = blocks[j][1, 0] = blocks[j][0, 1] + 0.25
+        eigh, solved = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or eigh(a))
+        out = simulate._inverse_sqrt_on_support(rho._replace(blocks=blocks), p)
+        assert len(solved) == len(distinct_blocks(rho.blocks)) + 1
+        assert sum(np.array_equal(a, blocks[j]) for a in solved) == 1
+        cut = simulate.SUPPORT_RTOL * max(eigh(block)[0][-1] for block in blocks)
+        vals, vecs = eigh(blocks[j])
+        keep = vals > cut
+        assert np.array_equal(out[j][1], (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T)
+        assert np.array_equal(out[j][2], vecs[:, ~keep])
 
     def test_keys_label_the_weights_one_to_one(self):
         for p in [ProtocolParams(3, 1, 3), ProtocolParams(2, 2, 4)]:
@@ -484,7 +548,7 @@ class TestWeightBlocks:
         # largest block's temporaries
         p = ProtocolParams(7, 3, 2)
         rho = signal_sum(p)
-        one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(simulate._weight_keys(p)))
+        one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(p))
         tracemalloc.start()
         try:
             simulate._inverse_sqrt_on_support(rho, p)
