@@ -15,19 +15,22 @@ one every outcome's row groups.  Each signal has rank d**(N-k): it is 1/d^N
 times a sum of all-ones blocks over d**(N-k) groups of d**k rows, checked
 exactly, in integers, against the coordinates of every outcome.
 
-The signal sum rho is kept as its U(1)^d weight blocks: each signal
-coordinate is checked, in integers, to join two indices of one weight and is
-added straight into its block, so no dim x dim matrix is formed.  Relabelling
-the d colours fixes rho, so the blocks of weights that one relabelling carries
-onto each other (a colour orbit) are one matrix up to the order of their
-indices; listed in orbit order (``_weight_blocks``) they come out bitwise
-equal.  Each distinct block is diagonalized once, a block equal in its data to
-an earlier one taking that block's solve; rho^(-1/2) and the kernel basis stay
-in the same blocks.  Every row of a group has the same weight, and every
-outcome's groups have the first outcome's weights, both also checked in integers, so
-the per-outcome traces and the square-root-measurement factors are read, and
-the factors kept, one weight block at a time: no per-outcome
-d**(N+k) x d**(N+k) matrix is formed, nor any dense d**(N+k) x d**(N-k) factor.
+The signal sum rho is kept as its U(1)^d weight blocks, laid out once per
+instance by ``_weight_blocks``: each weight's indices, and every index's
+block label, which the signal sum, the group tables and the per-outcome
+passes all read.  Each signal coordinate is checked, in integers, to join two
+indices of one label and is added straight into its block, so no dim x dim
+matrix is formed.  Relabelling the d colours fixes rho, so the blocks of
+weights that one relabelling carries onto each other (a colour orbit) are one
+matrix up to the order of their indices; listed in orbit order they come out
+bitwise equal.  Each distinct block is diagonalized once, a block equal in
+its data to an earlier one taking that block's solve; rho^(-1/2) and the
+kernel basis stay in the same blocks.  Every row of a group has the same
+weight, and every outcome's groups have the first outcome's weights, both
+also checked in integers, so the per-outcome traces and the
+square-root-measurement factors are read, and the factors kept, one weight
+block at a time: no per-outcome d**(N+k) x d**(N+k) matrix is formed, nor
+any dense d**(N+k) x d**(N-k) factor.
 
 System order inside a matrix: the N port systems first, then the k teleported
 slots.  A port tuple is in slot order (t-th entry = port paired with slot t).
@@ -46,13 +49,14 @@ SUPPORT_RTOL = 1e-12
 
 
 class WeightBlocks(NamedTuple):
-    """A dim x dim matrix zero off its U(1)^d weight blocks: each weight's
-    basis indices b, in ``_weight_blocks`` order (weights by increasing key,
-    indices in orbit order), and its b x b block."""
+    """A dim x dim matrix zero off its U(1)^d weight blocks, in
+    ``_weight_blocks`` order: each weight's basis indices b, its b x b block,
+    and every basis index's block label, shape (dim,)."""
 
     shape: tuple[int, int]
     indices: list[np.ndarray]
     blocks: list[np.ndarray]
+    label: np.ndarray
 
 
 def all_port_tuples(N: int, k: int) -> list[tuple[int, ...]]:
@@ -61,11 +65,16 @@ def all_port_tuples(N: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _check_guard(p: ProtocolParams) -> int:
-    dim = p.d**p.n
-    if dim > DIM_GUARD:
-        raise ValueError(
-            f"dense simulation limited to d**(N+k) <= {DIM_GUARD}, got {dim}"
-        )
+    """d**(N+k), refused above DIM_GUARD before any power above DIM_GUARD * d
+    is formed: at large N the power alone would take minutes."""
+    dim = 1
+    for _ in range(p.n):
+        dim *= p.d
+        if dim > DIM_GUARD:
+            raise ValueError(
+                f"dense simulation limited to d**(N+k) <= {DIM_GUARD}, "
+                f"got N={p.N}, k={p.k}, d={p.d}"
+            )
     return dim
 
 
@@ -130,12 +139,10 @@ def signal_sum(p: ProtocolParams) -> WeightBlocks:
     import numpy as np
 
     dim = _check_guard(p)
-    indices = _weight_blocks(p)
+    indices, label = _weight_blocks(p)
     # entry (i, j) of a block sits at start[i] + local[j] of one flat buffer
     local, start, end = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64), 0
-    block_of = np.empty(dim, dtype=np.int64)
-    for j, b in enumerate(indices):
-        block_of[b] = j
+    for b in indices:
         local[b] = np.arange(b.size)
         start[b] = end + b.size * local[b]
         end += b.size**2
@@ -143,14 +150,14 @@ def signal_sum(p: ProtocolParams) -> WeightBlocks:
     val = 1.0 / p.d**p.N
     for ports in _outcome_chunks(p):
         rows, cols = _signal_coords(ports, p)
-        if (block_of[rows] != block_of[cols]).any():
+        if (label[rows] != label[cols]).any():
             raise ValueError("a signal connects basis indices of two U(1)^d weights")
         np.add.at(flat, (start[rows] + local[cols]).reshape(-1), val)
     blocks = [flat[start[b[0]] : start[b[0]] + b.size**2].reshape(b.size, b.size) for b in indices]
-    return WeightBlocks((dim, dim), indices, blocks)
+    return WeightBlocks((dim, dim), indices, blocks, label)
 
 
-def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np.ndarray:
+def _signal_groups(ports: np.ndarray, p: ProtocolParams, label: np.ndarray) -> np.ndarray:
     """Row groups of each outcome's signal, shape (outcomes, d**(N-k), d**k):
     sigma_i = v * sum_g 1_g 1_g^T with v = 1/d^N, so sigma_i = v G_i G_i^T for
     the 0/1 indicator G_i of outcome i's groups.
@@ -158,10 +165,10 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
     A row's group is the set of its columns.  The factorization is checked
     exactly, in integers, against ``_signal_coords`` for every outcome: each
     of the d**N rows carries d**k entries, and its column set equals its
-    group's row set.  All rows of a group must share one U(1)^d weight key
-    (``keys``, from ``_weight_keys``): a group's paired port and slot digits
-    cancel, leaving the weight of its unpaired port digits.  Each outcome's
-    groups are returned in increasing key.
+    group's row set.  All rows of a group must share one U(1)^d weight, so one
+    block ``label`` (from ``_weight_blocks``): a group's paired port and slot
+    digits cancel, leaving the weight of its unpaired port digits.  Each
+    outcome's groups are returned in increasing label.
     """
     import numpy as np
 
@@ -182,47 +189,21 @@ def _signal_groups(ports: np.ndarray, p: ProtocolParams, keys: np.ndarray) -> np
     exact = (np.diff(row_ids, axis=1) > 0).all() and (grouped_cols == groups[:, :, None, :]).all()
     if not exact:
         raise ValueError("signals are not sums of all-ones blocks over row groups")
-    group_keys = keys[groups]
-    if (group_keys != group_keys[:, :, :1]).any():
+    group_labels = label[groups]
+    if (group_labels != group_labels[:, :, :1]).any():
         raise ValueError("a signal group spans two U(1)^d weights")
-    order = np.argsort(group_keys[:, :, 0], axis=1, kind="stable")
+    order = np.argsort(group_labels[:, :, 0], axis=1, kind="stable")
     return np.take_along_axis(groups, order[:, :, None], axis=1)
 
 
-def _weight_keys(p: ProtocolParams) -> np.ndarray:
-    """U(1)^d weight of every basis index x*d**k + u, packed into one int64
-    (see ``_weight_table``)."""
-    return _weight_table(p)[0]
+def _weight_blocks(p: ProtocolParams) -> tuple[list[np.ndarray], np.ndarray]:
+    """Basis indices of each U(1)^d weight, weights in lexicographic order and
+    indices in orbit order inside each, and every basis index's block label:
+    its weight's position in that order, shape (dim,).
 
-
-def _weight_table(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every basis index's packed weight key, shape (dim,), its U(1)^d
-    weight, shape (dim, d), and its base-d digits, shape (dim, n), most
-    significant first.
-
-    For each colour c the weight counts c among the N port digits minus c
-    among the k slot digits.  Each difference lies in [-k, N], so the key
-    packs the first d-1 of them, offset by k, as digits in base N+k+1, and the
-    packing is injective: colour d-1 follows, since the counts sum to N and k.
-    """
-    import numpy as np
-
-    N, k, d = p.N, p.k, p.d
-    places = d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(d**p.n, dtype=np.int64)[:, None] // places) % d
-    weights = np.empty((d**p.n, d), dtype=np.int64)
-    keys = np.zeros(d**p.n, dtype=np.int64)
-    for c in range(d - 1):
-        hit = digits == c
-        weights[:, c] = hit[:, :N].sum(axis=1) - hit[:, N:].sum(axis=1)
-        keys = keys * (N + k + 1) + weights[:, c] + k
-    weights[:, -1] = N - k - weights[:, :-1].sum(axis=1)
-    return keys, weights, digits
-
-
-def _weight_blocks(p: ProtocolParams) -> list[np.ndarray]:
-    """Basis indices of each weight, in increasing key (``_weight_keys``),
-    in orbit order inside each weight.
+    A basis index x*d**k + u has the base-d digits of x on the N ports and of
+    u on the k slots; for each colour c its weight counts c among the port
+    digits minus c among the slot digits.
 
     Relabelling the d colours by a permutation P fixes every signal, since
     P^(x N) x P^(x k) fixes every phi+ pair, so it fixes rho:
@@ -234,13 +215,21 @@ def _weight_blocks(p: ProtocolParams) -> list[np.ndarray]:
     """
     import numpy as np
 
-    keys, weights, digits = _weight_table(p)
-    # colour perm[j] -> j for the stable sort perm of each index's weight
-    relabel = np.argsort(np.argsort(weights, axis=1, kind="stable"), axis=1)
     places = p.d ** np.arange(p.n - 1, -1, -1, dtype=np.int64)
-    image = np.take_along_axis(relabel, digits, axis=1) @ places
-    order = np.lexsort((image, keys))
-    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    digits = (np.arange(p.d**p.n, dtype=np.int64)[:, None] // places) % p.d
+    ports, slots = digits[:, : p.N], digits[:, p.N :]
+    weights = np.stack([(ports == c).sum(1) - (slots == c).sum(1) for c in range(p.d)], axis=1)
+    # one lexsort of the weight rows gives the label (np.unique over rows
+    # costs about ten times as much at these sizes)
+    by_weight = np.lexsort(weights.T[::-1])
+    first = np.r_[True, (np.diff(weights[by_weight], axis=0) != 0).any(axis=1)]
+    label = np.empty_like(by_weight)
+    label[by_weight] = np.cumsum(first) - 1
+    # colour perm[j] -> j for the stable sort perm of each distinct weight
+    relabel = np.argsort(np.argsort(weights[by_weight[first]], axis=1, kind="stable"), axis=1)
+    image = np.take_along_axis(relabel[label], digits, axis=1) @ places
+    order = np.lexsort((image, label))
+    return np.split(order, np.flatnonzero(first)[1:]), label
 
 
 def _inverse_sqrt_on_support(
@@ -251,7 +240,7 @@ def _inverse_sqrt_on_support(
     threshold SUPPORT_RTOL.
 
     rho commutes with U^(x N) x conj(U)^(x k), so for diagonal U it only
-    connects basis indices of equal U(1)^d weight (``_weight_keys``), as
+    connects basis indices of equal U(1)^d weight (one block label), as
     ``signal_sum`` checks in integers.  Each block is diagonalized on its
     own, not through the Schur-Weyl algebra the oracle certifies, and the
     support is decided against the largest eigenvalue of all blocks.  A
@@ -298,35 +287,31 @@ def _inverse_sqrt_on_support(
     return [(b, *solved[j]) for b, j in zip(rho.indices, which)]
 
 
-def _chunk_runs(
-    p: ProtocolParams, keys: np.ndarray, blocks: list
-) -> Iterator[tuple[int, list]]:
+def _chunk_runs(p: ProtocolParams, rho: WeightBlocks) -> Iterator[tuple[int, list]]:
     """Every chunk of outcomes (``_outcome_chunks``) as (its outcome count,
-    the list of its weight runs).  Groups come in increasing key
+    the list of its weight runs).  Groups come in increasing block label
     (``_signal_groups``), so the groups of one weight are contiguous; each
-    run is (that weight's position in ``blocks``, from
-    ``_inverse_sqrt_on_support``, every outcome's rows of those groups as
-    positions inside its basis indices, shape (outcomes, groups, d**k)).
+    run is (that weight's label, which is its block's position in ``rho``
+    and in ``_inverse_sqrt_on_support``, every outcome's rows of those groups
+    as positions inside its basis indices, shape (outcomes, groups, d**k)).
     Every outcome must give the first outcome's weights; otherwise
     ValueError."""
     import numpy as np
 
-    local = np.empty_like(keys)
-    by_key = {}
-    for j, (b, _, _) in enumerate(blocks):
+    local = np.empty_like(rho.label)
+    for b in rho.indices:
         local[b] = np.arange(b.size)
-        by_key[keys[b[0]]] = j
     reference = None
     for ports in _outcome_chunks(p):
-        groups = _signal_groups(ports, p, keys)
-        weights = keys[groups[:, :, 0]]
+        groups = _signal_groups(ports, p, rho.label)
+        labels = rho.label[groups[:, :, 0]]
         if reference is None:
-            reference = weights[0]
+            reference = labels[0]
             cuts = [0, *(np.flatnonzero(np.diff(reference)) + 1), reference.size]
-        if (weights != reference).any():
+        if (labels != reference).any():
             raise ValueError("outcomes differ in the U(1)^d weights of their groups")
         yield len(ports), [
-            (by_key[reference[lo]], local[groups[:, lo:hi]]) for lo, hi in zip(cuts[:-1], cuts[1:])
+            (reference[lo], local[groups[:, lo:hi]]) for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
 
@@ -354,7 +339,7 @@ def rho_and_srm(
     scale = math.sqrt(1.0 / p.d**p.N)
     factors = [np.zeros((p.num_signals, 0, b.size)) for b, _, _ in blocks]
     done = 0
-    for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
+    for n, runs in _chunk_runs(p, rho):
         for j, idx in runs:
             b, block, _ = blocks[j]
             if not done:
@@ -392,7 +377,7 @@ def srm_signal_traces(p: ProtocolParams, rho: WeightBlocks | None = None) -> np.
     db = p.d**p.k
     v = 1.0 / p.d**p.N
     out = []
-    for n, runs in _chunk_runs(p, _weight_keys(p), blocks):
+    for n, runs in _chunk_runs(p, rho):
         squares = np.zeros(n)
         for j, idx in runs:
             block = blocks[j][1]

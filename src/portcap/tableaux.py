@@ -109,7 +109,8 @@ def ssyt_count(mu: Diagram, d: int) -> int:
     padded = mu + (0,) * (d - len(mu))
     num = 1
     den = 1
-    for i in range(d):
+    # a pair of two empty rows contributes (j - i) / (j - i) = 1
+    for i in range(len(mu)):
         for j in range(i + 1, d):
             num *= padded[i] - padded[j] + j - i
             den *= j - i

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -57,6 +58,17 @@ class TestFidelityCommand:
         assert code == 0
         assert ",oracle-srm" in out
         assert "0.625" in out
+
+    def test_oracle_guard_refuses_before_forming_the_dimension(self, capsys):
+        # d**(N+k) at N = 1e6 is past the int-to-string digit limit of the
+        # message, and 3**(N+k) at N = 1e8 takes over a minute to form
+        for N, d in (("1000000", "2"), ("100000000", "3")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "fidelity", "--method", "oracle",
+                                     "--N", N, "--k", "1", "--d", d)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert f"d**(N+k) <= 4096, got N={N}, k=1, d={d}" in err
 
     def test_qubit_method_matches_exact(self, capsys):
         _, out_q, _ = run_cli(capsys, "fidelity", "--N", "5", "--k", "2", "--method", "qubit")
@@ -280,8 +292,9 @@ class TestVerifyCommand:
         # srm_signal_traces call, against perfbench/golden.json
         golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
                             .read_text())["counts"]["certify-dense"]
-        solves, outcomes = [], []
+        solves, outcomes, layouts = [], [], []
         solve, traces = simulate._inverse_sqrt_on_support, simulate.srm_signal_traces
+        layout = simulate._weight_blocks
 
         def counted_solve(rho, p):
             solves.append(rho.shape[0])
@@ -293,7 +306,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(simulate, "_inverse_sqrt_on_support", counted_solve)
         monkeypatch.setattr(simulate, "srm_signal_traces", counted_traces)
+        # the weight layout is decided once per dense instance
+        monkeypatch.setattr(simulate, "_weight_blocks", lambda p: layouts.append(p) or layout(p))
         results = [fn() for _, _, _, _, fn in cli._verify_checks(1024)]
+        assert layouts == simulate.feasible_instances(1024) and len(layouts) == 25
         assert len(results) == golden["cli.rows"] == 108 and all(results)
         assert len(solves) == 43
         assert sum(dim**3 for dim in solves) == golden["simulate.eigh.dim3"]

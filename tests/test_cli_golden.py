@@ -136,6 +136,9 @@ GOLDEN = [
     ("fidelity --method exact --N 99999999999999999999 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("psucc --scheme mpbt --N 5 --k 1 --d 99999999999999999999", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("compare --k-list 4 --N-range 99999999999999999999:99999999999999999999", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # dense oracle dimensions far past its guard: refused before d**(N+k) is formed
+    ("fidelity --method oracle --N 1000000 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fidelity --method oracle --N 100000000 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

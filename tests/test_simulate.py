@@ -50,7 +50,7 @@ def all_tuples(p):
 
 def group_table(p):
     """The batched group table of every outcome of p, in one batch."""
-    return simulate._signal_groups(all_tuples(p), p, simulate._weight_keys(p))
+    return simulate._signal_groups(all_tuples(p), p, simulate._weight_blocks(p)[1])
 
 
 def colour_orbit(x, p):
@@ -128,9 +128,11 @@ class TestSignalSum:
     def test_blocks_match_the_per_tuple_reference_bit_for_bit(self):
         for p in SMALL + [ProtocolParams(3, 3, 2), ProtocolParams(4, 1, 4)]:
             rho = signal_sum(p)
-            blocks = simulate._weight_blocks(p)
+            blocks, label = simulate._weight_blocks(p)
             assert rho.shape == (p.d**p.n, p.d**p.n), p
             assert all(np.array_equal(a, b) for a, b in zip(rho.indices, blocks)), p
+            assert np.array_equal(rho.label, label), p
+            assert all((label[b] == j).all() for j, b in enumerate(blocks)), p
             assert len(rho.indices) == len(blocks) == len(rho.blocks), p
             assert np.array_equal(dense_rho(rho), reference_signal_sum(p)), p
 
@@ -171,7 +173,7 @@ def reference_inverse_sqrt_on_support(rho, p):
     """(rho^(-1/2), kernel basis) as dense dim x dim and dim x n_ker arrays:
     each weight block diagonalized on its own and embedded in the full index
     space, the reference for the block form the oracle keeps."""
-    blocks = simulate._weight_blocks(p)
+    blocks = simulate._weight_blocks(p)[0]
     eigs = [np.linalg.eigh(rho[np.ix_(b, b)]) for b in blocks]
     cut = simulate.SUPPORT_RTOL * max(vals[-1] for vals, _ in eigs)
     inv_sqrt = np.zeros_like(rho)
@@ -199,13 +201,13 @@ def reference_signal_traces(p):
     """``srm_signal_traces`` from the dense embedding, one outcome at a time:
     for each weight, the group pairs' blocks of S read straight from S."""
     inv_sqrt, _ = reference_inverse_sqrt_on_support(reference_signal_sum(p), p)
-    keys = simulate._weight_keys(p)
+    label = simulate._weight_blocks(p)[1]
     db, v = p.d**p.k, 1.0 / p.d**p.N
     out = []
     for groups in group_table(p):
         square = 0.0
-        for key in np.unique(keys[groups[:, 0]]):
-            idx = groups[keys[groups[:, 0]] == key].reshape(-1)
+        for j in np.unique(label[groups[:, 0]]):
+            idx = groups[label[groups[:, 0]] == j].reshape(-1)
             n = idx.size // db
             sums = inv_sqrt[np.ix_(idx, idx)].reshape(1, n, db, n, db).sum(axis=(2, 4))
             square += np.einsum("oij,oij->o", sums, sums)[0]
@@ -320,13 +322,13 @@ class TestSignalFactorization:
         for p in SMALL:
             rows, cols = simulate._signal_coords(all_tuples(p), p)
             table = group_table(p)
-            keys = simulate._weight_keys(p)
+            label = simulate._weight_blocks(p)[1]
             for i, ports in enumerate(all_port_tuples(p.N, p.k)):
                 ref_rows, ref_cols = reference_coords(ports, p)
                 assert np.array_equal(rows[i], ref_rows) and np.array_equal(cols[i], ref_cols)
                 groups = table[i]
-                # the table orders groups by weight key, the reference by smallest row
-                assert (np.diff(keys[groups[:, 0]]) >= 0).all()
+                # the table orders groups by block label, the reference by smallest row
+                assert (np.diff(label[groups[:, 0]]) >= 0).all()
                 by_row = groups[np.argsort(groups[:, 0])]
                 assert np.array_equal(by_row, reference_groups(ports, p)), (p, ports)
 
@@ -376,8 +378,8 @@ class TestSignalFactorization:
         coords = simulate._signal_coords
         p = ProtocolParams(4, 2, 2)
         rho = signal_sum(p)
-        keys = simulate._weight_keys(p)
-        a, b = 0, int(np.flatnonzero(keys != keys[0])[0])
+        label = rho.label
+        a, b = 0, int(np.flatnonzero(label != label[0])[0])
         relabel = np.arange(p.d**p.n)
         relabel[[a, b]] = [b, a]
         monkeypatch.setattr(
@@ -400,14 +402,14 @@ class TestSignalFactorization:
         coords = simulate._signal_coords
         p = ProtocolParams(4, 2, 2)
         rho = signal_sum(p)
-        keys = simulate._weight_keys(p)
+        label = rho.label
         moved = group_table(p)[1][0]
         unused = np.setdiff1d(np.arange(p.d**p.n), group_table(p)[1])
         other = next(
-            key for key in keys[unused]
-            if key != keys[moved[0]] and (keys[unused] == key).sum() >= moved.size
+            j for j in label[unused]
+            if j != label[moved[0]] and (label[unused] == j).sum() >= moved.size
         )
-        target = unused[keys[unused] == other][: moved.size]
+        target = unused[label[unused] == other][: moved.size]
         relabel = np.arange(p.d**p.n)
         relabel[moved], relabel[target] = target, moved
 
@@ -526,15 +528,21 @@ class TestWeightBlocks:
         assert np.array_equal(out[j][1], (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T)
         assert np.array_equal(out[j][2], vecs[:, ~keep])
 
-    def test_keys_label_the_weights_one_to_one(self):
-        for p in [ProtocolParams(3, 1, 3), ProtocolParams(2, 2, 4)]:
-            keys = simulate._weight_keys(p)
-            weights = []
+    def test_labels_number_the_weights_one_to_one_in_key_order(self):
+        # the label ranks the weights by the key that packs the first d-1
+        # colours, offset by k, as digits in base N+k+1: lexicographic order
+        for p in [ProtocolParams(3, 1, 3), ProtocolParams(2, 2, 4), ProtocolParams(4, 2, 2)]:
+            label = simulate._weight_blocks(p)[1]
+            weights, keys = [], []
             for digits in itertools.product(range(p.d), repeat=p.n):
                 ports, slots = digits[:p.N], digits[p.N:]
                 weights.append(tuple(ports.count(c) - slots.count(c) for c in range(p.d)))
-            pairs = set(zip(weights, keys.tolist()))
-            assert len(pairs) == len(set(weights)) == len(set(keys.tolist())), p
+                keys.append(sum((w + p.k) * (p.n + 1) ** (p.d - 2 - c)
+                                for c, w in enumerate(weights[-1][:-1])))
+            pairs = set(zip(weights, label.tolist()))
+            assert len(pairs) == len(set(weights)) == len(set(label.tolist())), p
+            rank = {key: j for j, key in enumerate(sorted(set(keys)))}
+            assert label.tolist() == [rank[key] for key in keys], p
 
     def test_wrong_shape_is_rejected(self):
         p = ProtocolParams(4, 2, 2)
@@ -548,7 +556,7 @@ class TestWeightBlocks:
         # largest block's temporaries
         p = ProtocolParams(7, 3, 2)
         rho = signal_sum(p)
-        one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(p))
+        one_set = 8 * sum(b.size**2 for b in simulate._weight_blocks(p)[0])
         tracemalloc.start()
         try:
             simulate._inverse_sqrt_on_support(rho, p)

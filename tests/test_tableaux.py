@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -67,6 +68,17 @@ class TestCounts:
         assert ssyt_count((3, 1), 2) == 3
         assert ssyt_count((3,), 2) == 4  # one-row shape of 2j boxes has 2j+1 fillings
         assert ssyt_count((1, 1, 1), 2) == 0
+
+    def test_ssyt_matches_the_product_over_all_padded_row_pairs(self):
+        # the Weyl form over every pair of the d padded rows, pairs of two
+        # empty rows included
+        for d in range(1, 7):
+            pairs = list(itertools.combinations(range(d), 2))
+            for n in range(9):
+                for mu in enumerate_diagrams(n, d):
+                    rows = mu + (0,) * (d - len(mu))
+                    num = math.prod(rows[i] - rows[j] + j - i for i, j in pairs)
+                    assert ssyt_count(mu, d) == num // math.prod(j - i for i, j in pairs), (mu, d)
 
     @settings(max_examples=60, deadline=None)
     @given(diagrams(max_boxes=8, max_rows=4))
