@@ -38,6 +38,9 @@ from .tableaux import add_boxes, enumerate_diagrams, isotypic_dimensions
 
 # Default switch from exact rationals to the log-space float path.
 EXACT_ARITH_MAX_N = 200
+# Largest N of the qubit fidelity's log path: its tables take about 22 bytes
+# per port, and its a-priori error bound reaches 1.1e-2 here and 1 near 1e8.
+FIDELITY_LOG_MAX_N = 10**7
 
 _LN2 = math.log(2.0)
 
@@ -150,18 +153,19 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     falls below the smallest normal float.  The log path's ``rel_err_bound``
     is the a-priori (N+128)(N+2k+64) 2**-53, led by the cumulative sum in
     ``_ln_binomial_table``; at (200000, 447) the error is 1.7e-9 against a
-    bound of 4.5e-6.
+    bound of 4.5e-6.  It refuses N above FIDELITY_LOG_MAX_N = 1e7.
 
     The log path returns the same float, to the bit, as taking logsumexp
     over j of each term and logsumexp over s of twice that, one term at a
-    time.  It builds the (N-k)/2 x (k+1) grid of terms in numpy, in chunks
-    of ``core.CHUNK_CELLS`` cells, so its memory stays near a few tables of
-    N/2 + k floats.  Terms whose exp is exactly 0.0 are left out: every term
-    below its row's top plus ``exactmath.EXP_ZERO``, and every row whose sum
-    lies that far below the largest.  The rest still go through math.exp and
-    math.fsum, so the cost is 3 numpy passes over the grid plus one exp per
-    kept term.  On a 2-vCPU Xeon (20000, 141) takes 0.05 s, against 1.0 s
-    term by term, and (1e6, 1000) about 4 s.
+    time.  It builds the (N-k)/2 x (k+1) grid of terms in numpy in one pass,
+    in chunks of ``core.CHUNK_CELLS`` cells, so its memory stays near a few
+    tables of N/2 + k floats.  Terms whose exp is exactly 0.0 are left out:
+    every term below its row's top plus ``exactmath.EXP_ZERO``, and every
+    row whose sum lies that far below the largest row top so far.  The rest
+    still go through math.exp and math.fsum, so the cost is one numpy pass
+    over the grid, a sort of the kept rows, and one exp per kept term.  On
+    a 2-vCPU Xeon (20000, 141) takes 0.03 s, against 1.0 s term by term,
+    and (1e6, 1000) about 2.5 s.
     """
     ProtocolParams(N, k)
     # h(s, j) = C(k, lo) - C(k, hi): lo lies in 0..k,
@@ -193,102 +197,87 @@ def fidelity_qubit(N: int, k: int, arith: str = "auto") -> EvalResult:
     # under 6 (N+2k) ln 2 + 4000 units of 2**-53: at worst
     # (N+128)(N+2k+64) 2**-53 in all.  Measured errors stay below a
     # hundredth of it (2.1e-12 at (2100, 1001), 1.75e-9 at (200000, 447)).
+    if N > FIDELITY_LOG_MAX_N:
+        raise ValueError(f"N = {N} exceeds the log-space fidelity limit N <= {FIDELITY_LOG_MAX_N}")
     bound = (N + 128) * (N + 2 * k + 64) * 2.0**-53
     ln_f = _ln_fidelity_sum(N, k) - (N + 2 * k) * _LN2 - math.log(N + 1)
     return EvalResult(exp_normal(ln_f), None, "angular-momentum", "log", bound)
 
 
-class _FidelityGrid:
-    """The terms h(s,j) + ln(2j+1) + 0.5 ln C(N+1, N/2-j) of the qubit
-    fidelity's log path, one row r per 2s = s0 + 2r and one column t per
+def _ln_fidelity_sum(N: int, k: int) -> float:
+    """ln sum_s (sum_j h(s,j) (2j+1) sqrt(C(N+1, N/2-j)))**2 in one pass
+    over the grid of terms h(s,j) + ln(2j+1) + 0.5 ln C(N+1, m), CHUNK_CELLS
+    cells at a time: one row r per 2s = s0 + 2r and one column t per
     2j = 2s - k + 2t, so that lo = k - t, hi = 2s + t + 1 and
     m = N/2 - j = m0 - r - t.  Cells with 2j < 0 hold -inf.  Every cell is
-    rounded as in a per-term loop: (h + ln(2j+1)) + 0.5 ln C(N+1, m)."""
+    rounded as in a per-term loop, (h + ln(2j+1)) + 0.5 ln C(N+1, m), and
+    each row's top and fsum are its own, so the chunking moves no bit.
 
-    def __init__(self, N: int, k: int) -> None:
-        import numpy as np
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        self.k = k
-        self.s0 = (N - k) % 2
-        self.rows = (N - k - self.s0) // 2 + 1
-        m0 = (N + k - self.s0) // 2
-        # ln C(k, m) from the exact integers up to k = 1000, beyond that from
-        # lgamma (C(k, k/2) overflows a float)
-        if k <= 1000:
-            self.choose_k = [math.comb(k, m) for m in range(k + 1)]
-            self.ln_choose_k = [ln_int(c) for c in self.choose_k]
-        else:
-            self.ln_choose_k = [
-                math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
-                for m in range(k + 1)
-            ]
-        self.h_base = np.array(self.ln_choose_k[::-1])  # h where hi > k
-        # ln(2j+1) and 0.5 ln C(N+1, m) by m, padded with -inf for 2j < 0
-        # and reversed, so that row r of either is the window starting at r
-        pad = np.full(m0 - N // 2, -np.inf)
-        ln_weight = np.fromiter(map(math.log, range(N + 1, N % 2, -2)), float, N // 2 + 1)
-        half_ln_choose = 0.5 * _ln_binomial_table(N + 1, N // 2)
-        self.weight = sliding_window_view(np.concatenate((ln_weight, pad))[::-1], k + 1)
-        self.choose = sliding_window_view(np.concatenate((half_ln_choose, pad))[::-1], k + 1)
-
-    def h_triangle(self, two_s: int) -> tuple[int, list[float]]:
-        """First column and values of h on row 2s where hi <= k, 2j >= 0."""
-        k, ln_choose_k = self.k, self.ln_choose_k
-        t_min = (k - two_s + 1) // 2
-        if k <= 1000:
-            choose_k = self.choose_k
-            return t_min, [ln_int(choose_k[k - t] - choose_k[two_s + t + 1])
-                           for t in range(t_min, k - two_s)]
-        return t_min, [ln_choose_k[k - t] + math.log1p(-math.exp(
-            ln_choose_k[two_s + t + 1] - ln_choose_k[k - t])) for t in range(t_min, k - two_s)]
-
-    def cells(self, r0: int, r1: int) -> np.ndarray:
-        """The terms of rows r0..r1-1."""
-        import numpy as np
-
-        grid = np.empty((r1 - r0, self.k + 1))
-        grid[:] = self.h_base
-        # rows with 2s < k hold the only cells with hi <= k
-        for r in range(r0, min(r1, (self.k - self.s0 + 1) // 2)):
-            t_min, h = self.h_triangle(self.s0 + 2 * r)
-            grid[r - r0, t_min : t_min + len(h)] = h
-        grid += self.weight[r0:r1]
-        grid += self.choose[r0:r1]
-        return grid
-
-
-def _ln_fidelity_sum(N: int, k: int) -> float:
-    """ln sum_s (sum_j h(s,j) (2j+1) sqrt(C(N+1, N/2-j)))**2 over the rows
-    of _FidelityGrid, CHUNK_CELLS cells at a time; each row's top and fsum
-    are its own, so the chunking moves no bit of the result.
-
-    math.exp is exactly 0.0 below EXP_ZERO and fsum rounds the exact sum
-    of its inputs in any order, so terms whose exp is 0.0 can be left out.
-    Pass 1 finds each row's top term.  A row's inner sum lies between
-    exp(top) and (k+1) exp(top), so a row with 2 (top + ln(k+1)) below
-    2 max(top) + EXP_ZERO adds exactly 0 to the outer sum; pass 2 sums
-    the rest, each row's terms largest first, which keeps fsum's partial
-    sums few where a row spans hundreds of binades.
+    math.exp is exactly 0.0 below EXP_ZERO and fsum rounds the exact sum of
+    its inputs in any order, so terms whose exp is 0.0 can be left out.  A
+    row's block 2 (top + ln fsum) is at most 2 (top + ln(k+1)), and
+    logsumexp's top is at least 2 best, best the largest row top.  So a row
+    whose 2 (top + ln(k+1)) lies below 2 best + EXP_ZERO adds exactly 0;
+    each chunk's rows are cut against the best so far, which never exceeds
+    the final one, so every row that adds anything is kept.  Each kept row
+    is summed largest term first, which keeps fsum's partial sums few where
+    a row spans hundreds of binades.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    grid = _FidelityGrid(N, k)
-    rows = grid.rows
+    s0 = (N - k) % 2
+    rows = (N - k - s0) // 2 + 1
+    m0 = (N + k - s0) // 2
+    # ln C(k, m) from the exact integers up to k = 1000, beyond that from
+    # lgamma (C(k, k/2) overflows a float)
+    if k <= 1000:
+        choose_k = [math.comb(k, m) for m in range(k + 1)]
+        ln_choose_k = [ln_int(c) for c in choose_k]
+    else:
+        ln_choose_k = [math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
+                       for m in range(k + 1)]
+    h_base = np.array(ln_choose_k[::-1])  # h where hi > k
+    # ln(2j+1) and 0.5 ln C(N+1, m) by m, padded with -inf for 2j < 0
+    # and reversed, so that row r of either is the window starting at r;
+    # the unpadded columns are freed as soon as their windows are built
+    pad = np.full(m0 - N // 2, -np.inf)
+
+    def windows(by_m):
+        return sliding_window_view(np.concatenate((by_m, pad))[::-1], k + 1)
+
+    weight = windows(np.fromiter(map(math.log, range(N + 1, N % 2, -2)), float, N // 2 + 1))
+    choose = windows(0.5 * _ln_binomial_table(N + 1, N // 2))
+
     step = max(1, CHUNK_CELLS // (k + 1))
-    tops = np.empty(rows)
+    best, outer = -math.inf, []
     for r0 in range(0, rows, step):
-        tops[r0 : r0 + step] = grid.cells(r0, min(r0 + step, rows)).max(axis=1)
-    live = 2.0 * (tops + math.log(k + 1)) >= 2.0 * float(tops.max()) + EXP_ZERO
-
-    outer = []
-    for r0 in range(0, rows, step):
-        keep = live[r0 : r0 + step]
+        r1 = min(r0 + step, rows)
+        grid = np.empty((r1 - r0, k + 1))
+        grid[:] = h_base
+        # rows with 2s < k hold the only cells with hi <= k: there h is the
+        # difference of two path counts, from column t_min on (2j >= 0)
+        for r in range(r0, min(r1, (k - s0 + 1) // 2)):
+            two_s = s0 + 2 * r
+            t_min = (k - two_s + 1) // 2
+            if k <= 1000:
+                h = [ln_int(choose_k[k - t] - choose_k[two_s + t + 1])
+                     for t in range(t_min, k - two_s)]
+            else:
+                h = [ln_choose_k[k - t] + math.log1p(-math.exp(
+                    ln_choose_k[two_s + t + 1] - ln_choose_k[k - t]))
+                    for t in range(t_min, k - two_s)]
+            grid[r - r0, t_min : k - two_s] = h
+        grid += weight[r0:r1]
+        grid += choose[r0:r1]
+        tops = grid.max(axis=1)
+        best = max(best, float(tops.max()))
+        keep = 2.0 * (tops + math.log(k + 1)) >= 2.0 * best + EXP_ZERO
         if keep.any():
-            row_tops = tops[r0 : r0 + step][keep]
-            z = np.sort(grid.cells(r0, min(r0 + step, rows))[keep], axis=1)[:, ::-1]
-            z -= row_tops[:, None]
-            outer += _row_blocks(z, row_tops)
+            grid = grid[keep]  # frees the chunk's cut rows before the sort
+            grid.sort(axis=1)
+            grid -= tops[keep][:, None]
+            outer += _row_blocks(grid[:, ::-1], tops[keep])
     return logsumexp(outer)
 
 

@@ -151,16 +151,26 @@ def isotypic_dimensions(n: int, d: int) -> Iterator[tuple[Diagram, int]]:
                 break
         else:
             return
+        # rows i+1.. hold tail boxes before the step and tail + 1 after, so
+        # rows from `live` on are empty on both sides: a pair of two such
+        # rows has l_h - l_j = j - h before and after and cancels
+        live = min(d, i + tail + 2)
         rows[i] -= 1
         for j in range(i + 1, d):
             rows[j] = min(rows[i], tail + 1)
             tail -= rows[j]
         new = [row + d - j for j, row in enumerate(rows, 1)]
-        num = math.prod(new[h] - new[j] for j in range(i, d) for h in range(j)) ** 2
-        den = math.prod(ell[h] - ell[j] for j in range(i, d) for h in range(j)) ** 2
-        for old, now in zip(ell[i:], new[i:]):  # one of the two ranges is empty
-            num *= math.prod(range(now + 1, old + 1))
-            den *= math.prod(range(old + 1, now + 1))
+        num = den = 1
+        for j in range(i, d):
+            now, old = new[j], ell[j]
+            for h in range(min(j, live)):
+                num *= new[h] - now
+                den *= ell[h] - old
+        num *= num
+        den *= den
+        for j in range(i, live):  # one of the two ranges is empty
+            num *= math.prod(range(new[j] + 1, ell[j] + 1))
+            den *= math.prod(range(ell[j] + 1, new[j] + 1))
         value, ell = value * num // den, new
 
 

@@ -13,6 +13,7 @@ from portcap import cli, simulate
 from portcap.asymptotics import PSUCC_LARGEN_MAX_N
 from portcap.cli import main
 from portcap.core import ProtocolParams
+from portcap.performance import FIDELITY_LOG_MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,16 @@ class TestFidelityCommand:
             assert time.perf_counter() - start < 1.0
             assert code == 2 and out == ""
             assert f"d**(N+k) <= 4096, got N={N}, k=1, d={d}" in err
+
+    def test_qubit_log_path_refuses_n_past_its_limit(self, capsys):
+        # the log kernel's tables take about 22 bytes per port: at N = 1e9
+        # it ran out of memory with a traceback instead of exiting 2
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fidelity", "--method", "qubit", "--arith", "log",
+                                 "--N", "1000000000", "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"N <= {FIDELITY_LOG_MAX_N}" in err
 
     def test_qubit_method_matches_exact(self, capsys):
         _, out_q, _ = run_cli(capsys, "fidelity", "--N", "5", "--k", "2", "--method", "qubit")

@@ -139,6 +139,8 @@ GOLDEN = [
     # dense oracle dimensions far past its guard: refused before d**(N+k) is formed
     ("fidelity --method oracle --N 1000000 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fidelity --method oracle --N 100000000 --k 1 --d 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the qubit fidelity's log path refuses N past its limit before any table
+    ("fidelity --method qubit --arith log --N 1000000000 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

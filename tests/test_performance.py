@@ -504,6 +504,25 @@ class TestQubitClosedForms:
         # (2003, 61), on the exact-integer branch: 151 of 972 rows do.
         assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
 
+    @pytest.mark.parametrize("N,k,bits", [
+        (3601, 1081, "0x1.9f1d9ec2e0202p-1"),  # top row 42, 30 rows per chunk
+        (100000, 316, "0x1.fec9f8dd72751p-1"),  # top row 223, 103 rows per chunk
+    ])
+    def test_running_cut_keeps_the_bits_where_the_top_row_is_past_the_first_chunk(
+            self, N, k, bits, monkeypatch):
+        # the first chunk's rows are cut against its own best, which lies
+        # below the final one: the cut may keep rows whose exps are all 0.0,
+        # but never drops one that adds to the sum, so the bits hold
+        calls, row_blocks_of = [], performance._row_blocks
+
+        def row_blocks(z, tops):
+            calls.append(tops.tolist())
+            return row_blocks_of(z, tops)
+
+        monkeypatch.setattr(performance, "_row_blocks", row_blocks)
+        assert fidelity_qubit(N, k, arith="log").value == float.fromhex(bits)
+        assert max(calls[0]) < max(max(tops) for tops in calls)
+
     def test_one_row_per_chunk_gives_the_same_bits(self, monkeypatch):
         # each row's top and fsum are its own, so the chunk budget moves no
         # bit; a budget of 1 gives one row per chunk

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,17 @@ class TestIsotypicDimensions:
         for mu, dim in walk:
             assert dim == ssyt_count(mu, d) * syt_count(mu) == one_pass_dimension(mu, d), (mu, d)
         assert sum(dim for _, dim in walk) == d**n
+
+    @pytest.mark.parametrize("d", [50, 300, 1000])
+    def test_walk_skips_the_empty_rows_at_large_d(self, d):
+        # pairs of two empty padded rows cancel; multiplying them out took
+        # over a minute at (2, 1000)
+        for n in range(5):
+            start = time.perf_counter()
+            walk = list(isotypic_dimensions(n, d))
+            assert time.perf_counter() - start < 1.0, (n, d)
+            assert walk == [(mu, ssyt_count(mu, d) * syt_count(mu))
+                            for mu in enumerate_diagrams(n, d)]
 
     def test_small_walks(self):
         assert list(isotypic_dimensions(0, 3)) == [((), 1)]
