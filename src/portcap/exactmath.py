@@ -111,13 +111,29 @@ def sum_of_radical_squares(blocks: Iterable[Sequence[tuple[int, int]]]) -> tuple
     return Fraction(total, 1 << _SQRT_SHIFT), exact
 
 
-def logsumexp(values: Iterable[float]) -> float:
-    """log(sum(exp(v))) over a finite iterable, tolerating -inf entries."""
+def logsumexp(values: Iterable[float], ln_slack: float = -math.inf) -> float | None:
+    """log(sum(exp(v))) over a finite iterable, tolerating -inf entries.
+
+    ``ln_slack`` is the log of an upper bound on the total exp of values the
+    caller left out of ``values``.  With one given, the result is the float
+    that the sum over every value would give, or None where the left-out
+    values might move it.  fsum rounds the exact sum S of the exps to R >= 1,
+    and the residual fsum(exps + [-R]) is S - R rounded, so adding at most
+    exp(ln_slack - top) to S keeps the rounding at R as long as residual
+    plus that stays below half an ulp of R; a small margin covers the
+    rounding of the check itself, and an exact tie is refused.
+    """
     vals = [v for v in values if v != -math.inf]
     if not vals:
-        return -math.inf
+        return -math.inf if ln_slack == -math.inf else None
     top = max(vals)
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+    exps = [math.exp(v - top) for v in vals]
+    total = math.fsum(exps)
+    if ln_slack != -math.inf:
+        exps.append(-total)
+        if math.fsum(exps) + math.exp(ln_slack - top) >= (0.5 - 2.0**-30) * math.ulp(total):
+            return None
+    return top + math.log(total)
 
 
 class UnderflowError(ValueError):

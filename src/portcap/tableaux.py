@@ -152,8 +152,8 @@ def isotypic_dimensions(n: int, d: int) -> Iterator[tuple[Diagram, int]]:
         else:
             return
         # rows i+1.. hold tail boxes before the step and tail + 1 after, so
-        # rows from `live` on are empty on both sides: a pair of two such
-        # rows has l_h - l_j = j - h before and after and cancels
+        # only rows i..live-1 change and the rest are empty on both sides:
+        # V's factors between two unchanged rows cancel
         live = min(d, i + tail + 2)
         rows[i] -= 1
         for j in range(i + 1, d):
@@ -161,11 +161,24 @@ def isotypic_dimensions(n: int, d: int) -> Iterator[tuple[Diagram, int]]:
             tail -= rows[j]
         new = [row + d - j for j, row in enumerate(rows, 1)]
         num = den = 1
-        for j in range(i, d):
+        for j in range(i, live):
             now, old = new[j], ell[j]
-            for h in range(min(j, live)):
+            for h in range(j):
                 num *= new[h] - now
                 den *= ell[h] - old
+        # the empty rows' l run over 0..empty-1, so a changed row's factors
+        # against them telescope: prod_v (l' - v) / (l - v) is
+        # l'! (l - empty)! / (l! (l' - empty)!), two runs of |l' - l| integers
+        empty = d - live
+        if empty:
+            for j in range(i, live):
+                now, old = new[j], ell[j]
+                if now > old:
+                    num *= math.prod(range(old + 1, now + 1))
+                    den *= math.prod(range(old - empty + 1, now - empty + 1))
+                elif now < old:
+                    num *= math.prod(range(now - empty + 1, old - empty + 1))
+                    den *= math.prod(range(now + 1, old + 1))
         num *= num
         den *= den
         for j in range(i, live):  # one of the two ranges is empty

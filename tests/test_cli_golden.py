@@ -33,6 +33,7 @@ GOLDEN = [
     ("fidelity --method qubit --N 301 --k 5", 0, "a3a252a8b21866276dc08e2aa2f901ad0f06955d4b57d43c7e19b9020eeaba7a"),
     ("fidelity --method qubit --N 301 --k 5 --format json", 0, "e06326c78ac6db54f581dc9db5c7ca48f3b7657bb59fa2b9904ead7a806625ee"),
     ("fidelity --method qubit --arith log --N 1100 --k 1001", 0, "c6e7ef3ab9911362785d9c77bb1cd75b4ec6b5bd355dfbd79cf9a9d214ef68d7"),
+    ("fidelity --method qubit --arith log --N 1000000 --k 1000", 0, "bc0ab281d58efc6d10e1a7abadd71c5efc56a70a8de37d0f66849e5dc86c9ca3"),
     ("fidelity --method qubit --arith exact --N 240 --k 6", 0, "6260a1f2a434d43717befbad10a76cd58eb8730cbba557a8455a0f008933989b"),
     ("fidelity --method bound-ratio --N 10 --k 3", 0, "95f6629c24216f7933947d5e4c13483a3bf61796494e302d0b9084fde790dae5"),
     ("fidelity --method bound-ratio --N 9 --k 2 --d 3", 0, "3bf9165b2a1f7254c55ebd768fe06d697430a051d13de0c1a861a9d79d93c418"),

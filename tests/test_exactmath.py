@@ -223,6 +223,45 @@ def test_logsumexp_matches_direct():
     assert logsumexp([-math.inf]) == -math.inf
 
 
+@given(st.lists(st.floats(-50.0, 10.0), min_size=1, max_size=20),
+       st.floats(2.0**-40, 1.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+@example([0.0], 0.99, [1.0])
+@example([0.0, math.log(2.0**-53 * (1 - 2.0**-20))], 2.0**-30, [0.5, 0.5])
+def test_logsumexp_slack_certifies_only_sums_the_left_out_values_cannot_move(
+        vals, share, weights):
+    # the slack is a share of half an ulp of the fsum of the exps, so it
+    # crosses the rounding boundary about as often as not; a refusal is
+    # always safe
+    top = max(vals)
+    exps = [math.exp(v - top) for v in vals]
+    ln_slack = top + math.log(share * 0.5 * math.ulp(math.fsum(exps)))
+    certified = logsumexp(vals, ln_slack)
+    if certified is None:
+        return
+    assert certified == logsumexp(vals)
+    # left-out values whose exps total the whole slack move no bit
+    if sum(weights) > 0:
+        extras = [ln_slack + math.log(w / sum(weights)) for w in weights if w > 0]
+        assert math.fsum(exps + [math.exp(v - top) for v in extras]) == math.fsum(exps)
+        assert logsumexp(vals + extras) == certified
+
+
+def test_logsumexp_slack_refuses_a_near_tie():
+    # exps 1 and just under 2**-53: the sum lies 2**-73 below the midpoint
+    # of 1 and 1 + 2**-52, so fsum rounds it to 1
+    near = math.log(2.0**-53 * (1 - 2.0**-20))
+    vals = [0.0, near]
+    assert math.fsum([1.0, math.exp(near)]) == 1.0
+    assert logsumexp(vals, math.log(2.0**-90)) == logsumexp(vals) == 0.0
+    # 2**-60 more crosses the midpoint, so that slack must be refused
+    assert math.fsum([1.0, math.exp(near), 2.0**-60]) == 1.0 + 2.0**-52
+    assert logsumexp(vals, math.log(2.0**-60)) is None
+    # nothing kept: whatever was left out decides the sum
+    assert logsumexp([], -100.0) is None
+    assert logsumexp([]) == -math.inf
+
+
 def test_exp_normal_refuses_values_below_the_smallest_normal_float():
     ln_min = math.log(sys.float_info.min)
     assert math.isclose(exp_normal(ln_min), sys.float_info.min, rel_tol=1e-12)

@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import fraction_square_of_radical_sum, syt_count_hook
@@ -103,9 +104,11 @@ def small_grid():
 QUDIT_EXACT_POINTS = [(80, 4, 3), (40, 8, 3), (24, 4, 4), (30, 6, 4)]
 
 
+@functools.cache
 def reference_fidelity_log(N, k):
     """fidelity_qubit's log branch as a per-term loop: the path count and its
-    log (lgamma beyond k = 1000) recomputed for every (s, j) term."""
+    log (lgamma beyond k = 1000) recomputed for every (s, j) term.  Cached,
+    since several tests compare against the same slow points."""
 
     def ln_choose(n, m):
         if 0 <= m <= n:
@@ -137,6 +140,34 @@ def reference_fidelity_log(N, k):
         if inner:
             outer.append(2.0 * logsumexp(inner))
     return math.exp(logsumexp(outer) - (N + 2 * k) * math.log(2.0) - math.log(N + 1))
+
+
+def reference_row_tops(N, k):
+    """The largest term h(s,j) + ln(2j+1) + 0.5 ln C(N+1, N/2-j) of each spin
+    row of the log path, one row at a time, indexed by m = (N - 2j)/2
+    directly: h from the exact path counts up to k = 1000, from lgamma and
+    log1p beyond."""
+    half = 0.5 * _ln_binomial_table(N + 1, N // 2)
+    if k <= 1000:
+        choose = [math.comb(k, m) for m in range(k + 1)]
+        ln_choose = np.array([ln_int(c) for c in choose])
+    else:
+        ln_choose = np.array([math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
+                              for m in range(k + 1)])
+    tops = []
+    for two_s in range((N - k) % 2, N - k + 1, 2):
+        two_j = np.arange(max(N % 2, two_s - k), two_s + k + 1, 2)
+        lo = (two_s - two_j + k) // 2
+        hi = (two_s + two_j + k) // 2 + 1
+        h = ln_choose[lo]
+        low = hi <= k  # there h is the difference of two path counts
+        if low.any():
+            if k <= 1000:
+                h[low] = [ln_int(choose[a] - choose[b]) for a, b in zip(lo[low], hi[low])]
+            else:
+                h[low] += np.log1p(-np.exp(ln_choose[hi[low]] - ln_choose[lo[low]]))
+        tops.append(float((h + np.log(two_j + 1.0) + half[(N - two_j) // 2]).max()))
+    return np.array(tops)
 
 
 def reference_ln_binomial_table(n, max_m, every=2000):
@@ -531,6 +562,67 @@ class TestQubitClosedForms:
         monkeypatch.setattr(performance, "CHUNK_CELLS", 1)
         for (N, k), value in zip(cases, default):
             assert fidelity_qubit(N, k, arith="log").value == value, (N, k)
+
+    @pytest.mark.parametrize("N,k", [(20000, 141), (1000, 250), (3601, 1081)])
+    def test_a_refused_certificate_reruns_once_at_the_exact_cut(self, N, k, monkeypatch):
+        # a cut of -0.001 nats leaves out rows that move the sum, so the slack
+        # is refused and the sum rerun once, uncertified, at EXP_ZERO
+        certified, ln_fidelity_sum = [], performance._ln_fidelity_sum
+
+        def counted(N, k, certify=True):
+            certified.append(certify)
+            return ln_fidelity_sum(N, k, certify)
+
+        monkeypatch.setattr(performance, "_ln_fidelity_sum", counted)
+        monkeypatch.setattr(performance, "_ROW_CUT", -0.001)
+        assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+        assert certified == [True, False]
+
+    @pytest.mark.parametrize("N,k", [
+        (20000, 141), (20001, 141), (1000, 250), (2003, 61), (3601, 1081), (2100, 1001),
+        (7, 3), (60, 59),
+    ])
+    def test_row_window_bound_is_at_least_every_later_row_top(self, N, k):
+        # before the chunk at row r0, every row from r0 on is bounded by the
+        # largest ln C(k, m), plus ln(N+1), plus the largest 0.5 ln C(N+1, m)
+        # of row r0's window m = m0 - r0 - t, t = 0..k, m <= N/2
+        tops = reference_row_tops(N, k)
+        half = 0.5 * _ln_binomial_table(N + 1, N // 2)
+        m0 = (N + k - (N - k) % 2) // 2
+        if k <= 1000:
+            h_max = max(ln_int(math.comb(k, m)) for m in range(k + 1))
+        else:
+            h_max = max(math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
+                        for m in range(k + 1))
+        later = np.maximum.accumulate(tops[::-1])[::-1]
+        for r0 in range(len(tops)):
+            window = half[max(0, m0 - r0 - k) : min(m0 - r0, N // 2) + 1]
+            assert h_max + math.log(N + 1) + float(window.max()) >= later[r0], (N, k, r0)
+
+    def test_log_path_builds_and_sums_only_the_rows_near_the_best(self, monkeypatch):
+        # (20000, 141) has 9930 spin rows; the row window stops the loop after
+        # 5 chunks (1150 rows), and the -80 nat cut keeps 978 rows for the sum
+        N, k = 20000, 141
+        built, summed = [], []
+        empty, row_blocks = np.empty, performance._row_blocks
+
+        def counted_empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2 and shape[1] == k + 1:
+                built.append(shape[0])
+            return empty(shape, *args, **kwargs)
+
+        def counted_row_blocks(z, tops):
+            summed.append(len(tops))
+            return row_blocks(z, tops)
+
+        monkeypatch.setattr(np, "empty", counted_empty)
+        monkeypatch.setattr(performance, "_row_blocks", counted_row_blocks)
+        assert fidelity_qubit(N, k, arith="log").value == reference_fidelity_log(N, k)
+        assert 0 < sum(built) <= 1300 and 0 < sum(summed) <= 1000
+
+    def test_log_path_bits_at_200000_ports(self):
+        # recorded before the row cut and the row window
+        assert fidelity_qubit(200000, 447, "log").value == float.fromhex("0x1.ff2498f0f2d9ep-1")
 
     def test_ln_binomial_table_sums_the_ratio_recurrence_in_order(self):
         for n, max_m in ((1, 0), (2, 1), (11, 5), (4001, 2000)):
